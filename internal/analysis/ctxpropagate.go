@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -25,9 +26,14 @@ import (
 //     context.Background() via one.
 //  4. An exported function whose first parameter is a context.Context must
 //     use it — a dropped ctx parameter is a silent cancellation leak.
+//  5. A call to Foo while a context.Context is in scope is an error when a
+//     FooContext exists (a method on the same receiver, or a function in
+//     the caller's or the callee's package): the caller had a ctx and let
+//     the work run uncancellable — the bug class of runMulti's index build
+//     calling BuildVizIndex. Calls inside Foo itself are exempt.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
-	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never",
+	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never, and no Foo call with a ctx in scope when FooContext exists",
 	AppliesTo: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/executor") ||
 			strings.HasSuffix(pkgPath, "internal/server")
@@ -68,6 +74,11 @@ func runCtxPropagate(pass *Pass) error {
 					pass.Reportf(call.Pos(), "context.Background() severs cancellation: accept a ctx (add a ...Context variant) or call through an existing wrapper")
 				}
 				return true
+			}
+			// Rule 5: the uncancellable Foo called with a ctx at hand.
+			if fn := calleeFunc(pass.Info, call); fn != nil && hasContextVariant(pass.Pkg, fn) &&
+				ctxInScope(pass.Pkg, call.Pos(), isCtxType) && !isSelfCall(pass.Info, funcs.enclosing(call.Pos()), fn) {
+				pass.Reportf(call.Pos(), "%s called with a ctx in scope: call %sContext so the work honors cancellation", fn.Name(), fn.Name())
 			}
 			// Rule 3: nil passed where a context.Context is expected.
 			sig := signatureOf(pass.Info, call)
@@ -155,6 +166,77 @@ func isWrapperDelegation(pass *Pass, funcs *funcIndex, bg *ast.CallExpr, variant
 		return !ok
 	})
 	return ok
+}
+
+// calleeFunc resolves a call's static callee: a package-level function or a
+// method (through a value, a pointer or an embedded field); nil for calls
+// of function values, conversions and builtins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil
+			}
+			fn, _ := sel.Obj().(*types.Func)
+			return fn
+		}
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// hasContextVariant reports whether fn has a FooContext sibling: a method
+// of the same name plus "Context" on fn's receiver type, or for a function,
+// one declared in fn's package or in pkg (the caller's).
+func hasContextVariant(pkg *types.Package, fn *types.Func) bool {
+	if strings.HasSuffix(fn.Name(), "Context") {
+		return false
+	}
+	name := fn.Name() + "Context"
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil {
+		return false
+	}
+	if recv := sig.Recv(); recv != nil {
+		obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), name)
+		_, ok := obj.(*types.Func)
+		return ok
+	}
+	for _, p := range []*types.Package{fn.Pkg(), pkg} {
+		if p == nil {
+			continue
+		}
+		if _, ok := p.Scope().Lookup(name).(*types.Func); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// ctxInScope reports whether a local variable or parameter of
+// context.Context type is visible at pos (package-level variables do not
+// count: they are not a request's context).
+func ctxInScope(pkg *types.Package, pos token.Pos, isCtx func(types.Type) bool) bool {
+	for s := pkg.Scope().Innermost(pos); s != nil && s != pkg.Scope() && s != types.Universe; s = s.Parent() {
+		for _, name := range s.Names() {
+			v, ok := s.Lookup(name).(*types.Var)
+			if ok && v.Pos() < pos && isCtx(v.Type()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isSelfCall reports whether fd is the declaration of fn itself (a
+// recursive call, exempt from rule 5).
+func isSelfCall(info *types.Info, fd *ast.FuncDecl, fn *types.Func) bool {
+	return fd != nil && info.Defs[fd.Name] == fn
 }
 
 func signatureOf(info *types.Info, call *ast.CallExpr) *types.Signature {

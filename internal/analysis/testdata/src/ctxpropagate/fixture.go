@@ -52,3 +52,94 @@ func Detach(n int) int {
 	//lint:ignore ctxpropagate rebuild runs beyond the request lifetime by design
 	return RunContext(context.Background(), n)
 }
+
+// BuildContext is a cancellable build and Build its uncancellable wrapper.
+func BuildContext(ctx context.Context, n int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+func Build(n int) int {
+	v, _ := BuildContext(context.Background(), n)
+	return v
+}
+
+// Batch has a ctx and still calls the uncancellable Build: flagged.
+func Batch(ctx context.Context, n int) int {
+	if ctx.Err() != nil {
+		return 0
+	}
+	return Build(n) // want `Build called with a ctx in scope: call BuildContext`
+}
+
+// Threaded calls the Context variant: not flagged.
+func Threaded(ctx context.Context, n int) (int, error) {
+	return BuildContext(ctx, n)
+}
+
+// Later runs Build in a closure that captures the ctx: flagged.
+func Later(ctx context.Context, n int) func() int {
+	_ = ctx.Err()
+	return func() int { return Build(n) } // want `Build called with a ctx in scope`
+}
+
+// NoCtx has no ctx to thread: not flagged.
+func NoCtx(n int) int {
+	return Build(n)
+}
+
+// Index has a cancellable ScanContext method beside Scan.
+type Index struct{ n int }
+
+func (ix *Index) Scan() int { return ix.ScanContext(context.Background()) }
+
+func (ix *Index) ScanContext(ctx context.Context) int {
+	if ctx.Err() != nil {
+		return 0
+	}
+	return ix.n
+}
+
+// UseIndex calls the uncancellable method with a ctx in scope: flagged.
+func UseIndex(ctx context.Context, ix *Index) int {
+	if ctx.Err() != nil {
+		return 0
+	}
+	return ix.Scan() // want `Scan called with a ctx in scope: call ScanContext`
+}
+
+// Node is a tree whose nodes carry the context of the request that built
+// them.
+type Node struct {
+	ctx         context.Context
+	left, right *Node
+}
+
+func WalkContext(ctx context.Context, t *Node) int {
+	if t == nil || ctx.Err() != nil {
+		return 0
+	}
+	return 1 + WalkContext(ctx, t.left) + WalkContext(ctx, t.right)
+}
+
+// Walk recurses through itself with a ctx in scope; calls inside Walk are
+// its own implementation, not a caller dropping a ctx: not flagged.
+func Walk(t *Node) int {
+	if t == nil {
+		return 0
+	}
+	if ctx := t.ctx; ctx != nil && ctx.Err() != nil {
+		return Walk(t.left)
+	}
+	return 1 + Walk(t.left) + Walk(t.right)
+}
+
+// Coalesced documents why a shared build outlives its caller: the ignore
+// absorbs the report.
+func Coalesced(ctx context.Context, n int) int {
+	_ = ctx.Err()
+	//lint:ignore ctxpropagate the build serves every coalesced waiter, so one caller's cancellation must not abort it
+	return Build(n)
+}

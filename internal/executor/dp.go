@@ -35,7 +35,7 @@ func infeasibleRun(t1, t2, lo int) runResult {
 // ranges out-buffer (solveChain copies it before the next solver call).
 func infeasibleRunCtx(ctx *evalCtx, t1, t2, lo int) runResult {
 	k := t2 - t1 + 1
-	ranges := growRanges(&ctx.rangesOut, k)
+	ranges := grow(&ctx.rangesOut, k)
 	for i := range ranges {
 		ranges[i] = [2]int{lo, lo} // invalid on purpose: scores −1
 	}
@@ -57,7 +57,7 @@ func solveChain(ce *chainEval, solve runSolver) segResult {
 	k := len(ce.units)
 	// The assignment lives in context scratch; callers that keep it past
 	// the next solveChain on this context (evalViz) copy the winner out.
-	ranges := growRanges(&ce.ctx.chainRanges, k)
+	ranges := grow(&ce.ctx.chainRanges, k)
 
 	// Push-down (b): eagerly test pinned up/down units first and bail out
 	// before any fuzzy segmentation work if one fails (Section 5.4).
@@ -194,8 +194,8 @@ func dpRunStride(ce *chainEval, t1, t2, lo, hi, stride int) runResult {
 	// boundary at cands[p]. from[t*m+p] reconstructs the previous boundary.
 	// Both tables are flat context scratch, resized not reallocated.
 	size := (k + 1) * m
-	best := growFloats(&ctx.dpBest, size)
-	from := growInts(&ctx.dpFrom, size)
+	best := grow(&ctx.dpBest, size)
+	from := grow(&ctx.dpFrom, size)
 	for i := 0; i < size; i++ {
 		best[i] = -neg
 		from[i] = -1
@@ -225,7 +225,7 @@ func dpRunStride(ce *chainEval, t1, t2, lo, hi, stride int) runResult {
 	if best[k*m+m-1] == -neg {
 		return infeasibleRunCtx(ctx, t1, t2, lo)
 	}
-	ranges := growRanges(&ctx.rangesOut, k)
+	ranges := grow(&ctx.rangesOut, k)
 	p := m - 1
 	for t := k; t >= 1; t-- {
 		q := from[t*m+p]

@@ -493,7 +493,7 @@ func (ce *chainEval) resolveRef(r shape.PosRef, t int) int {
 func (ce *chainEval) evalQuantifier(seg *shape.Segment, i, j int) float64 {
 	v := ce.viz
 	ctx := ce.ctx
-	pairScores := growFloats(&ctx.pairScores, j-i)
+	pairScores := grow(&ctx.pairScores, j-i)
 	for k := i; k < j; k++ {
 		slope, ok := v.rangeSlope(k, k+1)
 		if !ok {
@@ -567,7 +567,7 @@ func (ce *chainEval) evalNested(norm shape.Normalized, i, j int) float64 {
 // unit slopes are fitted first, then every unit is re-scored with
 // references bound (Design decision 4 in DESIGN.md).
 func (ce *chainEval) scoreRanges(ranges [][2]int) float64 {
-	slopes := growFloats(&ce.ctx.slopes, len(ce.units))
+	slopes := grow(&ce.ctx.slopes, len(ce.units))
 	for t := range ce.units {
 		r := ranges[t]
 		if r[1] <= r[0] {

@@ -9,7 +9,7 @@ import (
 // evalCtx is the per-worker, reusable evaluation state of the scoring
 // kernel. Every buffer the SEGMENT → SCORE inner loop used to allocate per
 // candidate — the chainEval and its compiled units, the DP's best/from
-// tables and candidate grid, the SegmentTree's node/entry/break arenas, and
+// tables and candidate grid, the SegmentTree's node list and entry slab, and
 // the quantifier/sketch scratch — lives here and is resized, never
 // reallocated, so steady-state scoring performs near-zero heap allocations
 // (pinned by TestSteadyStateAllocs).
@@ -84,13 +84,13 @@ type evalCtx struct {
 	ubChainUB      []float64
 	ubChainSet     []bool
 
-	// SegmentTree arenas and level buffers (reset per treeRun).
-	treeNodes     nodeArena
-	treeEntries   entryArena
-	treeInts      intArena
-	treeSlabs     slabArena
-	treeLevel     []*treeNode
-	treeLevelNext []*treeNode
+	// SegmentTree scratch, overwritten by every treeRun: the flat node
+	// list, the entry slab (k² pointer-free entries per node), the node ids
+	// of the level being combined and the next, and the root's breaks.
+	treeNodes     []treeNode
+	treeSlab      []treeEntry
+	treeLevel     []int32
+	treeLevelNext []int32
 	breaksBuf     []int
 
 	// child serves nested sub-query evaluation (one level per depth).
@@ -127,155 +127,14 @@ func putEvalCtx(ec *evalCtx) {
 	ctxPool.Put(ec)
 }
 
-// growFloats resizes *buf to n elements without shrinking its capacity.
-func growFloats(buf *[]float64, n int) []float64 {
+// grow resizes *buf to n elements without shrinking its capacity. The
+// elements are not cleared: callers overwrite what they read.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growBools(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growRanges(buf *[][2]int, n int) [][2]int {
-	if cap(*buf) < n {
-		*buf = make([][2]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// arenaPage is the element count of one arena page. Pages never move, so
-// pointers into them stay valid for the whole run; reset reuses the pages.
-const arenaPage = 1024
-
-// nodeArena hands out treeNodes with stable addresses.
-type nodeArena struct {
-	pages [][]treeNode
-	used  int
-}
-
-func (a *nodeArena) alloc() *treeNode {
-	page, off := a.used/arenaPage, a.used%arenaPage
-	if page == len(a.pages) {
-		a.pages = append(a.pages, make([]treeNode, arenaPage))
-	}
-	a.used++
-	n := &a.pages[page][off]
-	*n = treeNode{}
-	return n
-}
-
-func (a *nodeArena) reset() { a.used = 0 }
-
-// entryArena hands out treeEntries with stable addresses.
-type entryArena struct {
-	pages [][]treeEntry
-	used  int
-}
-
-func (a *entryArena) alloc() *treeEntry {
-	page, off := a.used/arenaPage, a.used%arenaPage
-	if page == len(a.pages) {
-		a.pages = append(a.pages, make([]treeEntry, arenaPage))
-	}
-	a.used++
-	e := &a.pages[page][off]
-	*e = treeEntry{}
-	return e
-}
-
-func (a *entryArena) reset() { a.used = 0 }
-
-// intArena bump-allocates small int slices (treeEntry breaks). A request
-// that does not fit the current page's remainder starts a new page; the
-// waste is bounded by the largest request.
-type intArena struct {
-	pages [][]int
-	page  int
-	used  int
-}
-
-func (a *intArena) alloc(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	size := arenaPage
-	if n > size {
-		size = n
-	}
-	for {
-		if a.page == len(a.pages) {
-			a.pages = append(a.pages, make([]int, size))
-		}
-		if a.used+n <= len(a.pages[a.page]) {
-			s := a.pages[a.page][a.used : a.used : a.used+n]
-			a.used += n
-			return s
-		}
-		a.page++
-		a.used = 0
-	}
-}
-
-func (a *intArena) reset() { a.page, a.used = 0, 0 }
-
-// slabArena bump-allocates the k×k entry-pointer slabs of treeNodes,
-// zeroing each slab on handout (arena reuse leaves stale pointers behind).
-type slabArena struct {
-	pages [][]*treeEntry
-	page  int
-	used  int
-}
-
-func (a *slabArena) alloc(n int) []*treeEntry {
-	if n == 0 {
-		return nil
-	}
-	size := arenaPage
-	if n > size {
-		size = n
-	}
-	for {
-		if a.page == len(a.pages) {
-			a.pages = append(a.pages, make([]*treeEntry, size))
-		}
-		if a.used+n <= len(a.pages[a.page]) {
-			s := a.pages[a.page][a.used : a.used+n]
-			a.used += n
-			for i := range s {
-				s[i] = nil
-			}
-			return s
-		}
-		a.page++
-		a.used = 0
-	}
-}
-
-func (a *slabArena) reset() { a.page, a.used = 0, 0 }
-
-// resetTree clears the SegmentTree arenas for the next treeRun.
-func (ec *evalCtx) resetTree() {
-	ec.treeNodes.reset()
-	ec.treeEntries.reset()
-	ec.treeInts.reset()
-	ec.treeSlabs.reset()
 }
 
 // scoreMemo is a flat open-addressing hash table mapping a packed

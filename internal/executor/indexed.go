@@ -382,7 +382,7 @@ func (p *Plan) runIndexed(ctx context.Context, ix *VizIndex, st *IndexStats) ([]
 					}
 					shared.add(sc)
 					scored.Add(1)
-					r.s = slot{res: makeResult(r.s.v, sc, ranges), ok: true}
+					r.s = scoredSlot(r.s.v, sc, ranges)
 				}
 				return true
 			})
@@ -452,7 +452,7 @@ func (p *Plan) verifyRecs(ctx context.Context, workers int, ecs []*evalCtx, all 
 		if scored != nil {
 			scored.Add(1)
 		}
-		all[i].s = slot{res: makeResult(all[i].s.v, sc, ranges), ok: true}
+		all[i].s = scoredSlot(all[i].s.v, sc, ranges)
 	})
 }
 
@@ -467,7 +467,7 @@ func topKRecs(all []idxRec, k int) []Result {
 		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := all[idx[a]].s.res.Score, all[idx[b]].s.res.Score
+		sa, sb := all[idx[a]].s.score, all[idx[b]].s.score
 		if sa != sb {
 			return sa > sb
 		}
@@ -478,7 +478,8 @@ func topKRecs(all []idxRec, k int) []Result {
 	}
 	out := make([]Result, len(idx))
 	for i, j := range idx {
-		out[i] = all[j].s.res
+		s := &all[j].s
+		out[i] = makeResult(s.v, s.score, s.ranges)
 	}
 	return out
 }
@@ -644,7 +645,7 @@ func (mp *MultiPlan) runMultiIndexed(ctx context.Context, plans []*Plan, ix *Viz
 						}
 						resetMemo = false
 						shared[qi].add(sc)
-						r.s = slot{res: makeResult(r.s.v, sc, ranges), ok: true}
+						r.s = scoredSlot(r.s.v, sc, ranges)
 					}
 				}
 				return true

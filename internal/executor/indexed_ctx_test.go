@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"shapesearch/internal/regexlang"
@@ -45,5 +46,68 @@ func TestBuildVizIndexContextCancel(t *testing.T) {
 	}
 	if got, want := ix.Len(), BuildVizIndex(vizs, 0).Len(); got != want {
 		t.Fatalf("context build indexed %d candidates, wrapper indexed %d", got, want)
+	}
+}
+
+// countdownCtx is a context that stays live for its first `left` Err calls
+// and reports context.Canceled from then on (closing Done as it turns).
+type countdownCtx struct {
+	context.Context
+	mu   sync.Mutex
+	left int
+	done chan struct{}
+}
+
+func newCountdownCtx(left int) *countdownCtx {
+	return &countdownCtx{Context: context.Background(), left: left, done: make(chan struct{})}
+}
+
+func (c *countdownCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+	return context.Canceled
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+// TestRunMultiAutoIndexHonorsCancel pins the batch counterpart of the
+// BuildVizIndexContext fix: a pruned batch over a corpus large enough for
+// the automatic shape index materializes its candidates and then builds the
+// index, and a request cancelled in between must not summarize the corpus.
+// With one worker, runMulti checks ctx once on entry and materialization
+// checks it once per candidate and once on return, so the context turns
+// cancelled at the first check after materialization — the index build's.
+func TestRunMultiAutoIndexHonorsCancel(t *testing.T) {
+	const n = lazyIndexMinCorpus
+	series := allocSeries(n, 12)
+	opts := seqOpts()
+	opts.Algorithm = AlgSegmentTree
+	opts.Pruning = true
+	mp, err := CompileBatch(mustParseAll([]string{"u ; d", "d ; u"}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vizs := mp.plans[0].GroupSeries(series)
+	if len(vizs) != n {
+		t.Fatalf("grouped %d candidates, want %d", len(vizs), n)
+	}
+	ctx := newCountdownCtx(1 + n + 1)
+	res, err := mp.RunGroupedContext(ctx, vizs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunGroupedContext err = %v (%d result sets), want context.Canceled", err, len(res))
+	}
+	for i, v := range vizs {
+		if v.pstats.ratio != 0 {
+			t.Fatalf("candidate %d had its bound summary computed after cancellation", i)
+		}
 	}
 }

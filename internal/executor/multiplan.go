@@ -316,7 +316,11 @@ func (mp *MultiPlan) runMulti(ctx context.Context, idxs []int, n int, viz func(i
 		if ctxErr := forEachIndex(ctx, w, n, func(_, i int) { vizs[i] = viz(i) }); ctxErr != nil {
 			return nil, ctxErr
 		}
-		return mp.runMultiIndexed(ctx, plans, BuildVizIndex(vizs, 0))
+		ix, ixErr := BuildVizIndexContext(ctx, vizs, 0)
+		if ixErr != nil {
+			return nil, ixErr
+		}
+		return mp.runMultiIndexed(ctx, plans, ix)
 	}
 
 	workers := o0.Parallelism
@@ -438,7 +442,7 @@ func (mp *MultiPlan) runMulti(ctx context.Context, idxs []int, n int, viz func(i
 			if mp.prune {
 				shared[qi].add(sc)
 			}
-			slots[qi][i] = slot{res: makeResult(v, sc, ranges), ok: true}
+			slots[qi][i] = scoredSlot(v, sc, ranges)
 		}
 	})
 	if firstErr != nil {

@@ -353,16 +353,23 @@ func (s *sharedTopK) floor() (float64, bool) {
 }
 
 // slot is one candidate's pipeline outcome, indexed by input position.
-// Evaluated candidates carry their result; pruned candidates are never
-// discarded — they carry their grouped viz and sound upper bound so the
-// deferred verification stage can exactly re-score any of them that the
-// final top-k floor fails to dominate.
+// Evaluated candidates carry their score and winning ranges; the Result
+// (and its BreakXs) is built only for the final top-k. Pruned candidates
+// are never discarded — they carry their grouped viz and sound upper bound
+// so the deferred verification stage can exactly re-score any of them that
+// the final top-k floor fails to dominate.
 type slot struct {
-	res    Result
-	ok     bool
 	v      *Viz
 	ub     float64
+	score  float64
+	ranges [][2]int
+	ok     bool
 	pruned bool
+}
+
+// scoredSlot is the outcome of an exact evaluation of v.
+func scoredSlot(v *Viz, sc float64, ranges [][2]int) slot {
+	return slot{v: v, score: sc, ranges: ranges, ok: true}
 }
 
 // topKSlots selects the top-k results from the filled slots by
@@ -377,7 +384,7 @@ func topKSlots(slots []slot, k int) []Result {
 		}
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := slots[idx[a]].res.Score, slots[idx[b]].res.Score
+		sa, sb := slots[idx[a]].score, slots[idx[b]].score
 		if sa != sb {
 			return sa > sb
 		}
@@ -388,7 +395,7 @@ func topKSlots(slots []slot, k int) []Result {
 	}
 	out := make([]Result, len(idx))
 	for i, j := range idx {
-		out[i] = slots[j].res
+		out[i] = makeResult(slots[j].v, slots[j].score, slots[j].ranges)
 	}
 	return out
 }
@@ -552,7 +559,7 @@ func (p *Plan) run(ctx context.Context, n int, viz func(int) *Viz) ([]Result, er
 			// from slots either way.
 			shared.add(sc)
 		}
-		slots[i] = slot{res: makeResult(v, sc, ranges), ok: true}
+		slots[i] = scoredSlot(v, sc, ranges)
 	})
 	if firstErr != nil {
 		return nil, firstErr
@@ -604,7 +611,7 @@ func (p *Plan) verifyPruned(ctx context.Context, workers int, ecs []*evalCtx, sl
 			fail(err)
 			return
 		}
-		slots[i] = slot{res: makeResult(slots[i].v, sc, ranges), ok: true}
+		slots[i] = scoredSlot(slots[i].v, sc, ranges)
 	})
 }
 
@@ -714,7 +721,7 @@ func (p *Plan) distanceRun(ctx context.Context, n int, viz func(int) *Viz) ([]Re
 				best = sc
 			}
 		}
-		slots[i] = slot{res: Result{Z: v.Series.Z, Score: best, Series: v.Series}, ok: true}
+		slots[i] = scoredSlot(v, best, nil)
 	})
 	if err != nil {
 		return nil, err

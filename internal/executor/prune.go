@@ -160,8 +160,8 @@ func (ec *evalCtx) resetBoundCaches(meta *chainMeta) {
 	ec.ubUnitKeys = ec.ubUnitKeys[:0]
 	ec.ubUnitHi = ec.ubUnitHi[:0]
 	if meta != nil && meta.nBoundGroups > 0 {
-		ec.ubChainUB = growFloats(&ec.ubChainUB, meta.nBoundGroups)
-		set := growBools(&ec.ubChainSet, meta.nBoundGroups)
+		ec.ubChainUB = grow(&ec.ubChainUB, meta.nBoundGroups)
+		set := grow(&ec.ubChainSet, meta.nBoundGroups)
 		for i := range set {
 			set[i] = false
 		}
@@ -212,9 +212,9 @@ func soundUpperBoundShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Option
 func chainUpperBound(ec *evalCtx, v *Viz, alt shape.Chain, o *Options, ps *pruneStats, am *altMeta, tolX float64, mayFail bool) float64 {
 	n := v.N()
 	k := len(alt.Units)
-	pinS := growInts(&ec.ubPinS, k)
-	pinE := growInts(&ec.ubPinE, k)
-	pinBad := growBools(&ec.ubPinBad, k)
+	pinS := grow(&ec.ubPinS, k)
+	pinE := grow(&ec.ubPinE, k)
+	pinBad := grow(&ec.ubPinBad, k)
 	for t, u := range alt.Units {
 		pinS[t], pinE[t], pinBad[t] = -1, -1, false
 		var xs, xe float64

@@ -17,12 +17,15 @@ import "math"
 //     lets break points retained in small regions survive into larger ones
 //     (the Closure assumption) at non-dyadic positions.
 //
-// Per node: O(k²) intervals × O(k) splits with O(1) rescoring plus O(k)
-// break bookkeeping = O(k⁴); O(n) nodes total gives O(nk⁴), linear in the
-// number of points.
+// An entry keeps only what a parent reads — its score, its first and last
+// unit scores, its first and last interior break — plus a back-pointer to
+// the split that produced it, so a combine is O(1) per split and the root's
+// break list is rebuilt once, by following back-pointers down the tree
+// (appendTreeBreaks). Per node: O(k²) intervals × O(k) splits = O(k³); O(n)
+// nodes total gives O(nk³), linear in the number of points. Intervals no
+// segmentation of the whole window can use are skipped (treeNode.reaches).
 func treeRun(ce *chainEval, t1, t2, lo, hi int) runResult {
 	ctx := ce.ctx
-	ctx.resetTree()
 	k := t2 - t1 + 1
 	// Leaves are at least the minimum segment width wide — the paper's
 	// "smallest possible VisualSegment" is a bin of width b, and the bin
@@ -41,28 +44,42 @@ func treeRun(ce *chainEval, t1, t2, lo, hi int) runResult {
 	if len(cands) < 2 {
 		return infeasibleRunCtx(ctx, t1, t2, lo)
 	}
-	nodes := ctx.treeLevel[:0]
-	for i := 0; i+1 < len(cands); i++ {
-		nodes = append(nodes, newLeaf(ce, t1, k, cands[i], cands[i+1]))
+	// L leaves make at most 2L−1 nodes; sizing both buffers up front keeps
+	// every node and entry in place for the whole run.
+	leaves := len(cands) - 1
+	kk := k * k
+	nodes := grow(&ctx.treeNodes, 2*leaves-1)[:0]
+	slab := grow(&ctx.treeSlab, (2*leaves-1)*kk)
+	entries := func(id int32) []treeEntry { return slab[int(id)*kk : int(id+1)*kk] }
+	level := ctx.treeLevel[:0]
+	for i := 0; i < leaves; i++ {
+		id := int32(len(nodes))
+		level = append(level, id)
+		nodes = append(nodes, treeNode{lo: cands[i], hi: cands[i+1], first: i, leaves: 1, left: -1, right: -1})
+		newLeaf(ce, t1, k, leaves, &nodes[id], entries(id))
 	}
 	next := ctx.treeLevelNext[:0]
-	for len(nodes) > 1 {
+	for len(level) > 1 {
 		next = next[:0]
-		for i := 0; i+1 < len(nodes); i += 2 {
-			next = append(next, combine(ce, t1, k, nodes[i], nodes[i+1]))
+		for i := 0; i+1 < len(level); i += 2 {
+			l, r, id := level[i], level[i+1], int32(len(nodes))
+			next = append(next, id)
+			nodes = append(nodes, treeNode{lo: nodes[l].lo, hi: nodes[r].hi, first: nodes[l].first,
+				leaves: nodes[l].leaves + nodes[r].leaves, left: l, right: r})
+			combine(ce, t1, k, leaves, &nodes[l], &nodes[r], &nodes[id], entries(l), entries(r), entries(id))
 		}
-		if len(nodes)%2 == 1 {
-			next = append(next, nodes[len(nodes)-1])
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1])
 		}
-		nodes, next = next, nodes
+		level, next = next, level
 	}
-	ctx.treeLevel, ctx.treeLevelNext = nodes, next
-	root := nodes[0]
-	e := root.entry(0, k-1)
-	if e == nil {
+	ctx.treeLevel, ctx.treeLevelNext = level, next
+	root := level[0]
+	e := &entries(root)[k-1] // units [0..k-1]
+	if !e.ok {
 		return infeasibleRunCtx(ctx, t1, t2, lo)
 	}
-	breaks := append(ctx.breaksBuf[:0], e.breaks...)
+	breaks := appendTreeBreaks(ctx.breaksBuf[:0], nodes, slab, k, root, 0, k-1)
 	ctx.breaksBuf = breaks
 	score := refineBreaks(ce, t1, lo, hi, stride, breaks, e.score)
 	ctx.rangesOut = appendBreaksToRanges(ctx.rangesOut[:0], lo, hi, breaks)
@@ -120,61 +137,70 @@ func refineBreaks(ce *chainEval, t1, lo, hi, leafWidth int, breaks []int, cur fl
 }
 
 // treeEntry is the best segmentation of a node's full range by one
-// contiguous unit interval.
+// contiguous unit interval [a..b]. It holds no pointers, so the slab of
+// every entry of a treeRun is never scanned by the garbage collector and
+// is written without write barriers.
 type treeEntry struct {
 	score float64
-	// breaks are the interior unit boundaries (point indices), one fewer
-	// than the interval's unit count.
-	breaks []int
 	// firstScore and lastScore are the unweighted scores of the interval's
 	// first and last unit, needed to re-score a shared unit on merge.
 	firstScore, lastScore float64
+	// firstBreak and lastBreak are the first and last interior unit
+	// boundaries (point indices); meaningful only when b > a.
+	firstBreak, lastBreak int32
+	// split is the unit the winning combination split at, and shared
+	// whether that unit spans the child boundary: the back-pointer
+	// appendTreeBreaks follows. Unused in leaf entries.
+	split  int32
+	shared bool
+	// ok is false when the interval is infeasible over the node.
+	ok bool
 }
 
+// treeNode is one node of the tree. Node i's entries are the run's
+// slab[i·k² : (i+1)·k²], entry [a..b] at offset a·k+b.
 type treeNode struct {
-	lo, hi int // inclusive point range
-	leaves int // number of atomic gaps underneath
-	k      int
-	// entries[a*k+b] is the best segmentation for units [a..b]; nil if
-	// infeasible or not applicable.
-	entries []*treeEntry
+	lo, hi        int   // inclusive point range
+	first, leaves int   // first atomic gap underneath, and their number
+	left, right   int32 // child node ids; −1 for a leaf
 }
 
-func (n *treeNode) entry(a, b int) *treeEntry { return n.entries[a*n.k+b] }
-
-func (n *treeNode) setEntry(a, b int, e *treeEntry) { n.entries[a*n.k+b] = e }
-
-// newLeaf scores every single unit over one atomic gap. Nodes, entries and
-// entry slabs come from the context's arenas (reset per treeRun).
-func newLeaf(ce *chainEval, t1, k, lo, hi int) *treeNode {
-	ctx := ce.ctx
-	n := ctx.treeNodes.alloc()
-	*n = treeNode{lo: lo, hi: hi, leaves: 1, k: k, entries: ctx.treeSlabs.alloc(k * k)}
-	for a := 0; a < k; a++ {
-		sc := ce.unitScore(t1+a, lo, hi)
-		w := ce.chain.Units[t1+a].Weight
-		e := ctx.treeEntries.alloc()
-		*e = treeEntry{score: w * sc, firstScore: sc, lastScore: sc}
-		n.setEntry(a, a, e)
-	}
-	return n
+// reaches reports whether entry [a..b] of n can take part in a segmentation
+// of all total gaps by units [0..k-1]: every unit covers at least one gap,
+// so units before a need a gap each left of the node and units after b one
+// each right of it. A parent entry that reaches only ever combines child
+// entries that reach (a child that does not is paired with an infeasible
+// sibling), so skipping the others changes no entry the root depends on.
+func (n *treeNode) reaches(a, b, k, total int) bool {
+	return b-a+1 <= n.leaves && a <= n.first && k-1-b <= total-n.first-n.leaves
 }
 
-// combine builds the parent of two adjacent nodes.
-func combine(ce *chainEval, t1, k int, l, r *treeNode) *treeNode {
-	ctx := ce.ctx
-	p := ctx.treeNodes.alloc()
-	*p = treeNode{lo: l.lo, hi: r.hi, leaves: l.leaves + r.leaves, k: k, entries: ctx.treeSlabs.alloc(k * k)}
+// newLeaf scores every single unit over one atomic gap into the leaf's
+// entries; a leaf holds no multi-unit interval.
+func newLeaf(ce *chainEval, t1, k, total int, n *treeNode, es []treeEntry) {
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
-			units := b - a + 1
-			// Feasibility: every unit needs at least one atomic gap.
-			if units > p.leaves {
+			es[a*k+b].ok = false
+		}
+		if !n.reaches(a, a, k, total) {
+			continue
+		}
+		sc := ce.unitScore(t1+a, n.lo, n.hi)
+		w := ce.chain.Units[t1+a].Weight
+		es[a*k+a] = treeEntry{score: w * sc, firstScore: sc, lastScore: sc, ok: true}
+	}
+}
+
+// combine fills the entries pe of p, the parent of l and r, from theirs.
+func combine(ce *chainEval, t1, k, total int, l, r, p *treeNode, le, re, pe []treeEntry) {
+	for a := 0; a < k; a++ {
+		for b := a; b < k; b++ {
+			pe[a*k+b].ok = false
+			if !p.reaches(a, b, k, total) {
 				continue
 			}
-			// Select the best split first (same comparison order and strict
-			// > as building eagerly, so the winning split is identical);
-			// materialize the entry and its break list exactly once.
+			// Select the best split first (strict >, so the first best split
+			// in c order wins).
 			bestScore := math.Inf(-1)
 			bestC := -1
 			bestShared := false
@@ -183,30 +209,30 @@ func combine(ce *chainEval, t1, k int, l, r *treeNode) *treeNode {
 			for c := a; c <= b; c++ {
 				// Disjoint split: break at the child boundary.
 				if c < b {
-					le, re := l.entry(a, c), r.entry(c+1, b)
-					if le != nil && re != nil {
-						if s := le.score + re.score; !found || s > bestScore {
+					x, y := &le[a*k+c], &re[(c+1)*k+b]
+					if x.ok && y.ok {
+						if s := x.score + y.score; !found || s > bestScore {
 							bestScore, bestC, bestShared, found = s, c, false, true
 						}
 					}
 				}
 				// Shared unit c: merge its partial segments across the
 				// boundary and re-score only unit c.
-				le, re := l.entry(a, c), r.entry(c, b)
-				if le == nil || re == nil {
+				x, y := &le[a*k+c], &re[c*k+b]
+				if !x.ok || !y.ok {
 					continue
 				}
 				w := ce.chain.Units[t1+c].Weight
 				mergedStart := l.lo
-				if len(le.breaks) > 0 {
-					mergedStart = le.breaks[len(le.breaks)-1]
+				if c > a {
+					mergedStart = int(x.lastBreak)
 				}
 				mergedEnd := r.hi
-				if len(re.breaks) > 0 {
-					mergedEnd = re.breaks[0]
+				if b > c {
+					mergedEnd = int(y.firstBreak)
 				}
 				mergedScore := ce.unitScore(t1+c, mergedStart, mergedEnd)
-				s := le.score - w*le.lastScore + re.score - w*re.firstScore + w*mergedScore
+				s := x.score - w*x.lastScore + y.score - w*y.firstScore + w*mergedScore
 				if !found || s > bestScore {
 					bestScore, bestC, bestShared, bestMerged, found = s, c, true, mergedScore, true
 				}
@@ -214,32 +240,55 @@ func combine(ce *chainEval, t1, k int, l, r *treeNode) *treeNode {
 			if !found || !(bestScore > -math.MaxFloat64) {
 				continue
 			}
-			breaks := ctx.treeInts.alloc(units - 1)
-			best := ctx.treeEntries.alloc()
+			c := bestC
 			if bestShared {
-				le, re := l.entry(a, bestC), r.entry(bestC, b)
-				breaks = append(breaks, le.breaks...)
-				breaks = append(breaks, re.breaks...)
-				first := le.firstScore
-				if a == bestC {
-					first = bestMerged
+				// Breaks: left[a..c]'s, then right[c..b]'s.
+				x, y := &le[a*k+c], &re[c*k+b]
+				e := treeEntry{score: bestScore, firstScore: x.firstScore, lastScore: y.lastScore,
+					firstBreak: x.firstBreak, lastBreak: y.lastBreak, split: int32(c), shared: true, ok: true}
+				if a == c {
+					e.firstScore, e.firstBreak = bestMerged, y.firstBreak
 				}
-				last := re.lastScore
-				if b == bestC {
-					last = bestMerged
+				if b == c {
+					e.lastScore, e.lastBreak = bestMerged, x.lastBreak
 				}
-				*best = treeEntry{score: bestScore, breaks: breaks, firstScore: first, lastScore: last}
+				pe[a*k+b] = e
 			} else {
-				le, re := l.entry(a, bestC), r.entry(bestC+1, b)
-				breaks = append(breaks, le.breaks...)
-				breaks = append(breaks, l.hi)
-				breaks = append(breaks, re.breaks...)
-				*best = treeEntry{score: bestScore, breaks: breaks, firstScore: le.firstScore, lastScore: re.lastScore}
+				// Breaks: left[a..c]'s, the child boundary, right[c+1..b]'s.
+				x, y := &le[a*k+c], &re[(c+1)*k+b]
+				e := treeEntry{score: bestScore, firstScore: x.firstScore, lastScore: y.lastScore,
+					firstBreak: x.firstBreak, lastBreak: y.lastBreak, split: int32(c), ok: true}
+				if a == c {
+					e.firstBreak = int32(l.hi)
+				}
+				if c+1 == b {
+					e.lastBreak = int32(l.hi)
+				}
+				pe[a*k+b] = e
 			}
-			p.setEntry(a, b, best)
 		}
 	}
-	return p
+}
+
+// appendTreeBreaks appends the interior breaks of node id's entry [a..b]
+// in order, following the split back-pointers: the left child's part
+// recursively, then the child boundary for a disjoint split, then the
+// right child's part (iteratively). A single-unit interval has none.
+func appendTreeBreaks(breaks []int, nodes []treeNode, slab []treeEntry, k int, id int32, a, b int) []int {
+	for a < b {
+		n := &nodes[id]
+		e := &slab[int(id)*k*k+a*k+b]
+		c := int(e.split)
+		breaks = appendTreeBreaks(breaks, nodes, slab, k, n.left, a, c)
+		if e.shared {
+			a = c
+		} else {
+			breaks = append(breaks, nodes[n.left].hi)
+			a = c + 1
+		}
+		id = n.right
+	}
+	return breaks
 }
 
 // breaksToRanges converts interior break positions into per-unit inclusive

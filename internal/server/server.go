@@ -648,6 +648,7 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 		if len(vizs) >= indexMinVizs {
 			// The index is query-independent (built from the vizs alone), so
 			// every plan sharing this candidate key shares it too.
+			//lint:ignore ctxpropagate the singleflight build serves every coalesced waiter and the cache, so one caller's cancellation must not abort it
 			cc.index = executor.BuildVizIndex(vizs, 0)
 		}
 		return cc, nil
