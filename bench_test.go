@@ -293,8 +293,8 @@ func BenchmarkAblation_Parallelism(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Pruning isolates the two-stage collective pruning
-// effect at full collection size (Fig 13c's widening-gap claim). With
+// BenchmarkAblation_Pruning isolates the collective pruning (bound-first
+// scan plus deferred exact verification) effect at full collection size (Fig 13c's widening-gap claim). With
 // Parallelism 1 this is the old sequential searchPruned path, now served
 // by the unified shared-threshold pipeline.
 func BenchmarkAblation_Pruning(b *testing.B) {

@@ -39,7 +39,7 @@ func main() {
 		nl        = flag.String("nl", "", "natural language query")
 		k         = flag.Int("k", 5, "number of results")
 		algName   = flag.String("alg", "auto", "algorithm: auto, dp, segmenttree, greedy, dtw, euclidean")
-		pruning   = flag.Bool("pruning", false, "enable two-stage collective pruning")
+		pruning   = flag.Bool("pruning", false, "enable lossless collective pruning (bound-first scan plus deferred exact verification)")
 		parallel  = flag.Int("parallel", 0, "scoring workers (0 = one per CPU)")
 		filterStr = flag.String("filter", "", "filters, e.g. \"price>10;region=west\" (separators ; , ops = != < <= > >=)")
 		width     = flag.Int("width", 60, "sparkline width")

@@ -29,8 +29,9 @@ import (
 //  5. A call to Foo while a context.Context is in scope is an error when a
 //     FooContext exists (a method on the same receiver, or a function in
 //     the caller's or the callee's package): the caller had a ctx and let
-//     the work run uncancellable — the bug class of runMulti's index build
-//     calling BuildVizIndex. Calls inside Foo itself are exempt.
+//     the work run uncancellable — the bug class of the batch driver's
+//     auto-index build once calling BuildVizIndex. Calls inside Foo itself
+//     are exempt.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "blocking entrypoints must thread ctx; context.Background() only inside Foo→FooContext wrappers, context.TODO() and nil ctx never, and no Foo call with a ctx in scope when FooContext exists",

@@ -86,9 +86,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsBatch extends the steady-state budget to the batch
-// pipeline: runMulti's per-run bookkeeping (per-query slots, heaps and
-// bound vectors) scales with Q, while per-candidate evaluation stays on
+// TestSteadyStateAllocsBatch extends the steady-state budget to batches:
+// the pipeline's per-run bookkeeping (per-query slots and heaps) scales
+// with Q, while per-candidate evaluation stays on
 // the pooled evalCtx exactly as in the single-plan kernel. The budget is
 // the single-plan budget times Q plus the same per-run overhead — if
 // per-candidate garbage crept into the shared-memo path it would blow

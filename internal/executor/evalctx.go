@@ -14,8 +14,9 @@ import (
 // reallocated, so steady-state scoring performs near-zero heap allocations
 // (pinned by TestSteadyStateAllocs).
 //
-// An evalCtx is owned by exactly one pipeline worker at a time (Plan keeps
-// a sync.Pool of them across runs) and is not safe for concurrent use.
+// An evalCtx is owned by exactly one pipeline worker at a time (a
+// package-wide sync.Pool recycles them across runs) and is not safe for
+// concurrent use.
 // Nested sub-query evaluation borrows a child context so the outer solver's
 // scratch is never clobbered mid-run.
 type evalCtx struct {
@@ -34,10 +35,10 @@ type evalCtx struct {
 
 	// memo is the per-candidate unit-score memo keyed by
 	// (unit signature, inclusive range): one flat epoch-stamped hash table,
-	// bump-reset per candidate (evalViz / coarseScore), shared by every
-	// solver through unitScore. Alternatives produced by cross-concatenation
-	// share almost all of their units, so each (signature, range) pair is
-	// scored once per candidate no matter how many alternatives touch it.
+	// bump-reset per candidate (evalVizShared), shared by every solver
+	// through unitScore. Alternatives produced by cross-concatenation share
+	// almost all of their units, so each (signature, range) pair is scored
+	// once per candidate no matter how many alternatives touch it.
 	memo scoreMemo
 
 	// fitMemo caches the least-squares fit per range — slope and its atan —
@@ -108,7 +109,7 @@ func (ec *evalCtx) childCtx() *evalCtx {
 	return ec.child
 }
 
-// ctxPool recycles evaluation contexts across runs of one plan.
+// ctxPool recycles evaluation contexts across runs of every plan.
 var ctxPool = sync.Pool{New: func() any { return newEvalCtx() }}
 
 func getEvalCtx() *evalCtx { return ctxPool.Get().(*evalCtx) }
@@ -144,9 +145,9 @@ func grow[T any](buf *[]T, n int) []T {
 // candidates are still establishing its working-set size).
 //
 // Ownership rule: the memo belongs to the worker's current candidate.
-// evalViz and coarseScore reset it when they take up a candidate; nothing
-// may read an entry written under a previous candidate (the epoch stamp
-// enforces this mechanically).
+// evalVizShared resets it when it takes up a candidate; nothing may read an
+// entry written under a previous candidate (the epoch stamp enforces this
+// mechanically).
 type scoreMemo struct {
 	ents  []scoreEnt
 	epoch uint32

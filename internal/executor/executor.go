@@ -20,7 +20,7 @@ const (
 	AlgAuto Algorithm = iota
 	// AlgDP is the optimal O(n²k) dynamic program (Section 6.1).
 	AlgDP
-	// AlgSegmentTree is the O(nk⁴) pattern-aware segmenter (Section 6.2).
+	// AlgSegmentTree is the O(nk³) pattern-aware segmenter (Section 6.2).
 	AlgSegmentTree
 	// AlgGreedy is the local-search baseline (Section 9).
 	AlgGreedy
@@ -77,8 +77,11 @@ type Options struct {
 	MinSegmentFrac float64
 	// Pushdown enables the Section 5.4 push-down optimizations.
 	Pushdown bool
-	// Pruning enables the Section 6.3 two-stage collective pruning
-	// (effective with AlgSegmentTree / AlgAuto on fuzzy queries).
+	// Pruning enables the Section 6.3 collective pruning, made lossless: a
+	// bound-first scan (or shape-index traversal) that skips candidates
+	// whose sound upper bound trails the live top-k floor, plus deferred
+	// exact verification. Effective with AlgSegmentTree / AlgAuto, for any
+	// query.
 	Pruning bool
 	// Parallelism is the number of worker goroutines scoring
 	// visualizations (default 0: auto, meaning GOMAXPROCS). All engines
@@ -264,12 +267,11 @@ func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSo
 }
 
 // evalVizShared is evalViz with explicit memo-reset control: the score/fit
-// memos are bump-reset only when resetMemo is true. Single-query execution
-// always resets (the memos belong to the (candidate, query) evaluation);
-// batch execution (runMulti) resets on the candidate's first evaluated
-// query only, so later queries of the same candidate share every
-// (signature, range) score and every range fit already computed — signature
-// ids are batch-global, so shared entries are exact for every query.
+// memos are bump-reset only when resetMemo is true. The pipeline resets on
+// a candidate's first evaluated query only (batchRun.score), so later
+// queries of the same candidate share every (signature, range) score and
+// every range fit already computed — signature ids are batch-global, so
+// shared entries are exact for every query.
 func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int, error) {
 	meta := o.chainMeta
 	best := math.Inf(-1)

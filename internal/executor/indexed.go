@@ -4,22 +4,20 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"shapesearch/internal/shape"
 	"shapesearch/internal/shapeindex"
 )
 
 // This file wires the corpus shape index (internal/shapeindex) into the
-// scoring pipeline. The flat pruned scan (Plan.run) still bounds every
-// candidate once per query — O(N) even when the bound would let it skip the
+// scoring pipeline. The flat pruned scan (scan, pipeline.go) bounds every
+// candidate once per run — O(N) even when the bound would let it skip the
 // whole corpus. The index precomputes the bound's query-independent per-viz
 // ingredients (Viz.boundSummary) once, merges them into bucket envelopes
-// whose capped-extreme intervals dominate every member's, and lets a query
-// traverse buckets best-first: a subtree whose envelope bound trails the
-// live top-k floor is skipped without ever touching its members.
+// whose capped-extreme intervals dominate every member's, and lets the
+// index driver (traverse, pipeline.go) descend buckets best-first: a
+// subtree whose envelope bound trails the live top-k floor is skipped
+// without ever touching its members.
 //
 // Soundness reduces to one property, envelopeUpperBound(env) ≥
 // soundUpperBound(member) for every member beneath env (pinned by
@@ -32,13 +30,13 @@ import (
 // widening. A skipped subtree therefore provably contains no top-k member:
 // member score ≤ member bound ≤ envelope bound < floor at skip time ≤ final
 // floor (the floor only rises). Everything visited flows through the
-// existing slot machinery — exact scoring, deferred verification, (score
-// desc, index asc) selection — so indexed results are byte-identical to the
-// flat scan's (TestIndexedSearchMatchesScan).
+// drivers' shared step — exact scoring, deferred verification, (score desc,
+// index asc) selection — so indexed results are byte-identical to the flat
+// scan's (TestIndexedSearchMatchesScan).
 
-// lazyIndexMinCorpus is the corpus size at which Plan.run builds a
-// throwaway index instead of flat-scanning: below it the build (summaries +
-// sort) costs more than the skipped bounds save.
+// lazyIndexMinCorpus is the corpus size at which the flat driver builds a
+// throwaway index and hands the run to the index driver: below it the
+// build (summaries + sort) costs more than the skipped bounds save.
 const lazyIndexMinCorpus = 4096
 
 // VizIndex pairs grouped candidate visualizations with the corpus shape
@@ -138,16 +136,11 @@ type IndexStats struct {
 }
 
 // envelopeUpperBound bounds every member's query score from the bucket
-// envelope alone: soundUpperBoundShared's interval composition evaluated at
-// the envelope's merged extremes, minimum point count and maximum grid
-// ratio. resetBoundCaches must precede it (the convenience wrapper below
-// does); the caches compose across queries exactly as for members.
+// envelope alone: soundUpperBound's interval composition evaluated at the
+// envelope's merged extremes, minimum point count and maximum grid ratio.
+// resetBoundCaches must precede it per envelope; the caches compose across
+// queries exactly as for members.
 func envelopeUpperBound(ec *evalCtx, s *shapeindex.Summary, norm shape.Normalized, o *Options) float64 {
-	ec.resetBoundCaches(o.chainMeta)
-	return envelopeUpperBoundShared(ec, s, norm, o)
-}
-
-func envelopeUpperBoundShared(ec *evalCtx, s *shapeindex.Summary, norm shape.Normalized, o *Options) float64 {
 	if !s.Boundable() {
 		return math.Inf(1) // some member is unboundable: never skip the bucket
 	}
@@ -273,215 +266,9 @@ func (p *Plan) RunIndexedStatsContext(ctx context.Context, ix *VizIndex, st *Ind
 		if st != nil {
 			*st = IndexStats{Candidates: ix.Len(), Visited: ix.Len(), Scored: ix.Len()}
 		}
-		return p.run(ctx, len(ix.vizs), func(i int) *Viz { return ix.vizs[i] })
+		return p.RunGroupedContext(ctx, ix.vizs)
 	}
-	return p.runIndexed(ctx, ix, st)
-}
-
-// idxRec is one visited candidate's pipeline outcome, tagged with its
-// corpus id. The indexed pipeline records only visited members — sparse,
-// unlike the flat scan's dense slot array — so skipped corpus stays
-// untouched in memory too.
-type idxRec struct {
-	id int32
-	s  slot
-}
-
-// runIndexed is the indexed counterpart of Plan.run: per-shard best-first
-// traversal on the worker pool, one worker per shard slot, all shards
-// feeding one atomic top-k floor (the PR 5 broadcast — a floor raised by
-// any shard prunes subtrees in every other). Within a surviving leaf,
-// members are bounded individually and scored in descending-bound order,
-// exactly the flat scan's bound-first discipline at bucket granularity.
-// Deferred verification then re-scores any visited-but-pruned member whose
-// bound reaches the final floor; unvisited members need no verification —
-// their envelope bound, which dominates their exact score, was below a
-// floor that only rose.
-func (p *Plan) runIndexed(ctx context.Context, ix *VizIndex, st *IndexStats) ([]Result, error) {
-	o := p.opts
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	nShards := ix.ix.NumShards()
-	if nShards == 0 {
-		return topKSlots(nil, o.K), nil
-	}
-	workers := o.Parallelism
-	if workers > nShards {
-		workers = nShards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ecs := make([]*evalCtx, workers)
-	for i := range ecs {
-		ecs[i] = getEvalCtx()
-	}
-	defer func() {
-		for _, ec := range ecs {
-			putEvalCtx(ec)
-		}
-	}()
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		abort    atomic.Bool
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abort.Store(true)
-	}
-
-	shared := newSharedTopK(o.K)
-	perShard := make([][]idxRec, nShards)
-	var leaves, visited, scored atomic.Int64
-
-	ctxErr := forEachIndex(ctx, workers, nShards, func(worker, si int) {
-		ec := ecs[worker]
-		var recs []idxRec
-		ix.ix.Traverse(si,
-			func(env *shapeindex.Summary) float64 { return envelopeUpperBound(ec, env, p.norm, o) },
-			shared.fastFloor,
-			boundEps,
-			func(members []int32, _ float64) bool {
-				if abort.Load() || ctx.Err() != nil {
-					return false
-				}
-				leaves.Add(1)
-				visited.Add(int64(len(members)))
-				base := len(recs)
-				for _, id := range members {
-					v := ix.vizs[id]
-					if v == nil {
-						continue // update-nilled slot: folds unboundable, nothing to score
-					}
-					recs = append(recs, idxRec{id: id, s: slot{v: v, ub: soundUpperBound(ec, v, p.norm, o), pruned: true}})
-				}
-				bucket := recs[base:]
-				sort.Slice(bucket, func(a, b int) bool {
-					if bucket[a].s.ub != bucket[b].s.ub {
-						return bucket[a].s.ub > bucket[b].s.ub
-					}
-					return bucket[a].id < bucket[b].id
-				})
-				for bi := range bucket {
-					r := &bucket[bi]
-					threshold := shared.fastFloor() + o.pruneThresholdBias
-					if !math.IsInf(threshold, -1) && r.s.ub < threshold {
-						continue // stays recorded as pruned, with its bound
-					}
-					sc, ranges, err := evalViz(ec, r.s.v, p.norm, o, p.solver)
-					if err != nil {
-						fail(err)
-						return false
-					}
-					shared.add(sc)
-					scored.Add(1)
-					r.s = scoredSlot(r.s.v, sc, ranges)
-				}
-				return true
-			})
-		perShard[si] = recs
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	all := mergeRecs(perShard)
-	floor, full := shared.floor()
-	if err := p.verifyRecs(ctx, workers, ecs, all, floor, full, fail, &abort, &scored); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if st != nil {
-		*st = IndexStats{
-			Candidates: ix.Len(),
-			Leaves:     int(leaves.Load()),
-			Visited:    int(visited.Load()),
-			Scored:     int(scored.Load()),
-		}
-	}
-	return topKRecs(all, o.K), nil
-}
-
-func mergeRecs(perShard [][]idxRec) []idxRec {
-	total := 0
-	for _, recs := range perShard {
-		total += len(recs)
-	}
-	all := make([]idxRec, 0, total)
-	for _, recs := range perShard {
-		all = append(all, recs...)
-	}
-	return all
-}
-
-// verifyRecs is verifyPruned over sparse records: every visited member left
-// pruned whose bound is not strictly dominated by the final floor is
-// re-scored exactly, in place.
-func (p *Plan) verifyRecs(ctx context.Context, workers int, ecs []*evalCtx, all []idxRec, floor float64, full bool, fail func(error), abort *atomic.Bool, scored *atomic.Int64) error {
-	rescue := make([]int, 0, 16)
-	for i := range all {
-		if all[i].s.pruned && (!full || all[i].s.ub >= floor-boundEps) {
-			rescue = append(rescue, i)
-		}
-	}
-	if len(rescue) == 0 {
-		return nil
-	}
-	return forEachIndex(ctx, workers, len(rescue), func(worker, j int) {
-		if abort.Load() {
-			return
-		}
-		i := rescue[j]
-		sc, ranges, err := evalViz(ecs[worker], all[i].s.v, p.norm, p.opts, p.solver)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if scored != nil {
-			scored.Add(1)
-		}
-		all[i].s = scoredSlot(all[i].s.v, sc, ranges)
-	})
-}
-
-// topKRecs selects the top-k from sparse records by (score desc, corpus id
-// asc) — the same deterministic rule topKSlots applies by input position,
-// so indexed and flat rankings agree bit for bit.
-func topKRecs(all []idxRec, k int) []Result {
-	idx := make([]int, 0, len(all))
-	for i := range all {
-		if all[i].s.ok {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := all[idx[a]].s.score, all[idx[b]].s.score
-		if sa != sb {
-			return sa > sb
-		}
-		return all[idx[a]].id < all[idx[b]].id
-	})
-	if len(idx) > k {
-		idx = idx[:k]
-	}
-	out := make([]Result, len(idx))
-	for i, j := range idx {
-		s := &all[j].s
-		out[i] = makeResult(s.v, s.score, s.ranges)
-	}
-	return out
+	return first(traverse(ctx, []*Plan{p}, ix, st))
 }
 
 // RunIndexed ranks the indexed candidates for every query in the batch.
@@ -492,189 +279,14 @@ func (mp *MultiPlan) RunIndexed(ix *VizIndex) ([][]Result, error) {
 // RunIndexedContext is the batch counterpart of Plan.RunIndexedContext: one
 // traversal serves every query, descending by the max-over-queries envelope
 // bound (a subtree is skipped only when every query's floor dominates its
-// bound for that query — the same max runMulti orders candidates by) and
-// sharing each visited member's bound caches and score/fit memos across the
-// batch exactly as runMulti does. Per-query floors, pruning, verification
-// and selection stay independent, so per-query results are byte-identical
-// to running each plan alone.
+// bound for that query — the same max the flat scan orders candidates by)
+// and sharing each visited member's bound caches and score/fit memos across
+// the batch. Per-query floors, pruning, verification and selection stay
+// independent, so per-query results are byte-identical to running each plan
+// alone.
 func (mp *MultiPlan) RunIndexedContext(ctx context.Context, ix *VizIndex) ([][]Result, error) {
-	if mp.distance || !mp.prune {
+	if !mp.plans[0].prune || mp.plans[0].distance {
 		return mp.RunGroupedContext(ctx, ix.vizs)
 	}
-	if len(mp.plans) == 1 {
-		res, err := mp.plans[0].runIndexed(ctx, ix, nil)
-		if err != nil {
-			return nil, err
-		}
-		return [][]Result{res}, nil
-	}
-	return mp.runMultiIndexed(ctx, mp.plans, ix)
-}
-
-// runMultiIndexed is runMulti at index granularity; results are indexed
-// like plans.
-func (mp *MultiPlan) runMultiIndexed(ctx context.Context, plans []*Plan, ix *VizIndex) ([][]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	o0 := plans[0].opts
-	Q := len(plans)
-	nShards := ix.ix.NumShards()
-	out := make([][]Result, Q)
-	if nShards == 0 {
-		for qi, p := range plans {
-			out[qi] = topKSlots(nil, p.opts.K)
-		}
-		return out, nil
-	}
-	workers := o0.Parallelism
-	if workers > nShards {
-		workers = nShards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ecs := make([]*evalCtx, workers)
-	for i := range ecs {
-		ecs[i] = getEvalCtx()
-	}
-	defer func() {
-		for _, ec := range ecs {
-			putEvalCtx(ec)
-		}
-	}()
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		abort    atomic.Bool
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abort.Store(true)
-	}
-
-	shared := make([]*sharedTopK, Q)
-	for qi, p := range plans {
-		shared[qi] = newSharedTopK(p.opts.K)
-	}
-	// The traversal floor is the weakest query's: a subtree survives while
-	// any query might still want it. −Inf until every heap fills, so nothing
-	// is skipped before each query has k exact scores.
-	minFloor := func() float64 {
-		f := math.Inf(1)
-		for _, s := range shared {
-			if v := s.fastFloor(); v < f {
-				f = v
-			}
-		}
-		return f
-	}
-	perShard := make([][][]idxRec, nShards) // [shard][query] records
-
-	ctxErr := forEachIndex(ctx, workers, nShards, func(worker, si int) {
-		ec := ecs[worker]
-		recs := make([][]idxRec, Q)
-		ix.ix.Traverse(si,
-			func(env *shapeindex.Summary) float64 {
-				// One reset serves the whole batch (batch-global ids), as in
-				// runMulti's bound pass.
-				ec.resetBoundCaches(o0.chainMeta)
-				ub := math.Inf(-1)
-				for _, p := range plans {
-					if b := envelopeUpperBoundShared(ec, env, p.norm, p.opts); b > ub {
-						ub = b
-					}
-				}
-				return ub
-			},
-			minFloor,
-			boundEps,
-			func(members []int32, _ float64) bool {
-				if abort.Load() || ctx.Err() != nil {
-					return false
-				}
-				base := len(recs[0])
-				maxUB := make([]float64, 0, len(members))
-				for _, id := range members {
-					v := ix.vizs[id]
-					if v == nil {
-						continue // update-nilled slot: folds unboundable, nothing to score
-					}
-					ec.resetBoundCaches(o0.chainMeta)
-					ub0 := math.Inf(-1)
-					for qi, p := range plans {
-						ub := soundUpperBoundShared(ec, v, p.norm, p.opts)
-						recs[qi] = append(recs[qi], idxRec{id: id, s: slot{v: v, ub: ub, pruned: true}})
-						if ub > ub0 {
-							ub0 = ub
-						}
-					}
-					maxUB = append(maxUB, ub0)
-				}
-				m := len(maxUB)
-				// Score in descending max-over-queries bound order (members
-				// arrive id-ascending, so index order breaks ties like
-				// runMulti's input order does).
-				order := make([]int, m)
-				for i := range order {
-					order[i] = i
-				}
-				sort.Slice(order, func(a, b int) bool {
-					if maxUB[order[a]] != maxUB[order[b]] {
-						return maxUB[order[a]] > maxUB[order[b]]
-					}
-					return order[a] < order[b]
-				})
-				for _, mi := range order {
-					resetMemo := true
-					for qi, p := range plans {
-						r := &recs[qi][base+mi]
-						threshold := shared[qi].fastFloor() + p.opts.pruneThresholdBias
-						if !math.IsInf(threshold, -1) && r.s.ub < threshold {
-							continue // pruned for this query only; stays recorded
-						}
-						sc, ranges, err := evalVizShared(ec, r.s.v, p.norm, p.opts, p.solver, resetMemo)
-						if err != nil {
-							fail(err)
-							return false
-						}
-						resetMemo = false
-						shared[qi].add(sc)
-						r.s = scoredSlot(r.s.v, sc, ranges)
-					}
-				}
-				return true
-			})
-		perShard[si] = recs
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	for qi, p := range plans {
-		perQuery := make([][]idxRec, 0, nShards)
-		for _, recs := range perShard {
-			if recs != nil {
-				perQuery = append(perQuery, recs[qi])
-			}
-		}
-		all := mergeRecs(perQuery)
-		floor, full := shared[qi].floor()
-		if err := p.verifyRecs(ctx, workers, ecs, all, floor, full, fail, &abort, nil); err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		out[qi] = topKRecs(all, p.opts.K)
-	}
-	return out, nil
+	return traverse(ctx, mp.plans, ix, nil)
 }

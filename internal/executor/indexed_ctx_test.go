@@ -83,9 +83,10 @@ func (c *countdownCtx) Done() <-chan struct{} { return c.done }
 // BuildVizIndexContext fix: a pruned batch over a corpus large enough for
 // the automatic shape index materializes its candidates and then builds the
 // index, and a request cancelled in between must not summarize the corpus.
-// With one worker, runMulti checks ctx once on entry and materialization
-// checks it once per candidate and once on return, so the context turns
-// cancelled at the first check after materialization — the index build's.
+// With one worker, the flat driver checks ctx once on entry and
+// materialization checks it once per candidate and once on return, so the
+// context turns cancelled at the first check after materialization — the
+// index build's.
 func TestRunMultiAutoIndexHonorsCancel(t *testing.T) {
 	const n = lazyIndexMinCorpus
 	series := allocSeries(n, 12)

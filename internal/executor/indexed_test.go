@@ -80,8 +80,10 @@ func TestIndexedBoundDominatesSound(t *testing.T) {
 				for qi, plan := range plans {
 					o := plan.opts
 					ix.ix.Walk(func(env *shapeindex.Summary, members []int32) {
+						ec.resetBoundCaches(o.chainMeta)
 						envUB := envelopeUpperBound(ec, env, plan.norm, o)
 						for _, id := range members {
+							ec.resetBoundCaches(o.chainMeta)
 							mUB := soundUpperBound(ec, ix.vizs[id], plan.norm, o)
 							if envUB < mUB-boundEps {
 								t.Fatalf("q=%q shards=%d: envelope bound %.12f < member %d sound bound %.12f",
@@ -117,6 +119,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				requireSameResults(t, fmt.Sprintf("seed=%d q=%q k=%d reference", seed, query, k), referenceRun(t, series, q, base), want)
 				for _, workers := range []int{1, 4} {
 					opts := base
 					opts.Pruning = true
@@ -174,6 +177,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireSameResults(t, fmt.Sprintf("shards=%d q=%q reference", shards, query), referenceRun(t, series, regexlang.MustParse(query), base), want)
 			assertSameResults(t, fmt.Sprintf("shards=%d q=%q", shards, query), want, got[qi])
 		}
 	}

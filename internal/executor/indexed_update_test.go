@@ -76,11 +76,13 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 			for qi, plan := range plans {
 				o := plan.opts
 				upd.ix.Walk(func(env *shapeindex.Summary, members []int32) {
+					ec.resetBoundCaches(o.chainMeta)
 					envUB := envelopeUpperBound(ec, env, plan.norm, o)
 					for _, id := range members {
 						if upd.vizs[id] == nil {
 							continue // folds unboundable; nothing to dominate
 						}
+						ec.resetBoundCaches(o.chainMeta)
 						mUB := soundUpperBound(ec, upd.vizs[id], plan.norm, o)
 						if envUB < mUB-boundEps {
 							t.Fatalf("q=%q shards=%d step %d: patched envelope bound %.12f < member %d sound bound %.12f",

@@ -3,10 +3,6 @@ package executor
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/shape"
@@ -14,12 +10,13 @@ import (
 
 // MultiPlan executes a batch of compiled queries against one corpus in a
 // single pass: every candidate visualization is grouped, bounded and scored
-// once for all Q queries, on the same worker pool a single Plan uses. The
-// shared-evaluation machinery of one plan (interned unit signatures, the
-// per-candidate score/fit memos, the stride grid and SegmentTree leaf
-// skeleton, the bound-group dedup) extends across plans: CompileBatch and
-// NewMultiPlan re-intern every query's unit signatures into one shared
-// table, so per-candidate cost is solve_shared + Σ_q distinct_work(q)
+// once for all Q queries, by the same two drivers a single Plan runs
+// through as a batch of one (see pipeline.go). The shared-evaluation
+// machinery of one plan (interned unit signatures, the per-candidate
+// score/fit memos, the stride grid and SegmentTree leaf skeleton, the
+// bound-group dedup) extends across plans: CompileBatch and NewMultiPlan
+// re-intern every query's unit signatures into one shared table, so
+// per-candidate cost is solve_shared + Σ_q distinct_work(q)
 // instead of Σ_q (solve + all work) — related queries (the production
 // traffic shape: one user intent fanned out into dozens of near-identical
 // trend queries, or many users typing variations of one question) share
@@ -35,14 +32,13 @@ import (
 //
 // A MultiPlan is immutable after construction and safe for concurrent use.
 type MultiPlan struct {
-	// plans holds one shadow Plan per query: a shallow copy of the caller's
-	// plan whose Options carry the batch-interned chainMeta. The underlying
-	// plans passed to NewMultiPlan are never mutated.
+	// plans holds one Plan per query. In a batch of several segmentation
+	// queries each is a shadow plan: a shallow copy of the caller's plan
+	// whose Options carry the batch-interned chainMeta; a batch of one, or
+	// of distance rankings, holds the caller's plans. The plans passed to
+	// NewMultiPlan are never mutated. Option compatibility makes the
+	// pruning and distance flags uniform across the batch.
 	plans []*Plan
-	// prune and distance mirror the per-plan flags; option compatibility
-	// makes them uniform across the batch.
-	prune    bool
-	distance bool
 }
 
 // CompileBatch compiles Q queries under one set of options and interns
@@ -80,12 +76,13 @@ func NewMultiPlan(plans []*Plan) (*MultiPlan, error) {
 			return nil, fmt.Errorf("executor: batch plan %d incompatible with plan 0: %w", i+1, err)
 		}
 	}
-	mp := &MultiPlan{prune: plans[0].prune, distance: plans[0].distance}
-	if mp.distance {
+	mp := &MultiPlan{plans: append([]*Plan(nil), plans...)}
+	if len(plans) == 1 || plans[0].distance {
+		// One plan's chainMeta already interns its own signatures
+		// (buildChainMeta is sigIntern.add + finalize over one query).
 		// Distance rankings (DTW/Euclidean) have no unit signatures to
 		// share; the batch still amortizes EXTRACT + GROUP per candidate
 		// key, and each plan scans the shared candidates itself.
-		mp.plans = plans
 		return mp, nil
 	}
 	// Re-intern every query's signatures into one shared table and hand
@@ -98,7 +95,6 @@ func NewMultiPlan(plans []*Plan) (*MultiPlan, error) {
 		metas[i] = st.add(p.norm)
 	}
 	st.finalize(metas...)
-	mp.plans = make([]*Plan, len(plans))
 	for i, p := range plans {
 		o := *p.opts
 		o.chainMeta = metas[i]
@@ -157,31 +153,8 @@ func (mp *MultiPlan) Search(src dataset.Source, spec dataset.ExtractSpec) ([][]R
 // key pays one EXTRACT + GROUP. A serving layer with a candidate cache does
 // the same grouping itself and calls RunGroupedContext per cached entry.
 func (mp *MultiPlan) SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec) ([][]Result, error) {
-	out := make([][]Result, len(mp.plans))
-	err := mp.forEachKeyGroup(func(p *Plan) string { return p.CandidateKey(spec) },
-		func(idxs []int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lead := mp.plans[idxs[0]]
-			series, err := src.Extract(lead.EffectiveSpec(spec))
-			if err != nil {
-				return err
-			}
-			vizs := lead.GroupSeries(series)
-			res, err := mp.runMulti(ctx, idxs, len(vizs), func(i int) *Viz { return vizs[i] })
-			if err != nil {
-				return err
-			}
-			for gi, qi := range idxs {
-				out[qi] = res[gi]
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(spec) },
+		func(lead *Plan) ([]dataset.Series, error) { return src.Extract(lead.EffectiveSpec(spec)) })
 }
 
 // Run ranks pre-extracted series for every query in the batch.
@@ -193,27 +166,8 @@ func (mp *MultiPlan) Run(series []dataset.Series) ([][]Result, error) {
 // queries sharing a GROUP configuration (push-down filter windows and
 // z-normalization — CandidateKey under an empty spec) group once.
 func (mp *MultiPlan) RunContext(ctx context.Context, series []dataset.Series) ([][]Result, error) {
-	out := make([][]Result, len(mp.plans))
-	err := mp.forEachKeyGroup(func(p *Plan) string { return p.CandidateKey(dataset.ExtractSpec{}) },
-		func(idxs []int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			lead := mp.plans[idxs[0]]
-			vizs := lead.GroupSeries(series)
-			res, err := mp.runMulti(ctx, idxs, len(vizs), func(i int) *Viz { return vizs[i] })
-			if err != nil {
-				return err
-			}
-			for gi, qi := range idxs {
-				out[qi] = res[gi]
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(dataset.ExtractSpec{}) },
+		func(*Plan) ([]dataset.Series, error) { return series, nil })
 }
 
 // RunGrouped ranks pre-grouped candidates for every query in the batch.
@@ -225,16 +179,14 @@ func (mp *MultiPlan) RunGrouped(vizs []*Viz) ([][]Result, error) {
 
 // RunGroupedContext is RunGrouped with cooperative cancellation.
 func (mp *MultiPlan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([][]Result, error) {
-	idxs := make([]int, len(mp.plans))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return mp.runMulti(ctx, idxs, len(vizs), func(i int) *Viz { return vizs[i] })
+	return scan(ctx, mp.plans, len(vizs), func(i int) *Viz { return vizs[i] })
 }
 
-// forEachKeyGroup partitions query indices by key and runs fn once per
-// distinct key, in first-appearance order (deterministic across runs).
-func (mp *MultiPlan) forEachKeyGroup(key func(*Plan) string, fn func(idxs []int) error) error {
+// runByKey partitions the queries by candidate key, in first-appearance
+// order (deterministic across runs), and per distinct key fetches the
+// series once (through the group's first plan), groups them, and scores
+// the whole group in one pass. Results are per query, in input order.
+func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, fetch func(lead *Plan) ([]dataset.Series, error)) ([][]Result, error) {
 	groups := make(map[string][]int, len(mp.plans))
 	order := make([]string, 0, len(mp.plans))
 	for i, p := range mp.plans {
@@ -244,229 +196,28 @@ func (mp *MultiPlan) forEachKeyGroup(key func(*Plan) string, fn func(idxs []int)
 		}
 		groups[k] = append(groups[k], i)
 	}
+	out := make([][]Result, len(mp.plans))
 	for _, k := range order {
-		if err := fn(groups[k]); err != nil {
-			return err
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	return nil
-}
-
-// runMulti is the batch scoring pipeline: one pass over n candidates
-// scoring every query in idxs (indices into mp.plans). It mirrors Plan.run
-// stage for stage — bound-first ordering, live shared floors, deferred
-// verification — with the per-query state vectorized:
-//
-//   - Bound pass: each candidate's bound caches (slope interval per width
-//     floor, unit bound per signature, chain bound per bound group — all
-//     keyed by batch-global ids) are reset once and then serve every
-//     query's soundUpperBound, so a unit bound shared by five queries is
-//     derived once per candidate, not five times.
-//   - Ordering: candidates score in descending max-over-queries bound
-//     order. Order affects only how fast each query's floor tightens,
-//     never the result; the max is the right single key because a
-//     candidate that is strong for any query must score early for that
-//     query's floor.
-//   - Scan: per candidate, the score/fit memos reset before the first
-//     query actually evaluated, then stay live across the remaining
-//     queries — every (signature, range) score and every range fit is
-//     computed once per candidate for the whole batch. A query whose floor
-//     dominates the candidate's bound skips it (recorded, not discarded)
-//     without consuming the reset.
-//   - Verification: per query, exactly as Plan.run — any candidate pruned
-//     for query q whose bound reaches q's final floor is re-scored, so
-//     per-query results equal the unpruned per-query scan.
-//
-// Returned results are indexed like idxs.
-func (mp *MultiPlan) runMulti(ctx context.Context, idxs []int, n int, viz func(int) *Viz) ([][]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if mp.distance {
-		// Distance baselines keep per-plan scans over the shared candidates
-		// (their per-(alternative, length) reference memos are plan-local).
-		out := make([][]Result, len(idxs))
+		idxs := groups[k]
+		plans := make([]*Plan, len(idxs))
 		for gi, qi := range idxs {
-			res, err := mp.plans[qi].run(ctx, n, viz)
-			if err != nil {
-				return nil, err
-			}
-			out[gi] = res
+			plans[gi] = mp.plans[qi]
 		}
-		return out, nil
-	}
-	if len(idxs) == 1 {
-		res, err := mp.plans[idxs[0]].run(ctx, n, viz)
+		series, err := fetch(plans[0])
 		if err != nil {
 			return nil, err
 		}
-		return [][]Result{res}, nil
-	}
-	plans := make([]*Plan, len(idxs))
-	for gi, qi := range idxs {
-		plans[gi] = mp.plans[qi]
-	}
-	o0 := plans[0].opts
-
-	if mp.prune && !o0.DisableAutoIndex && n >= lazyIndexMinCorpus {
-		// Same corpus-scale routing as Plan.run: materialize once, index,
-		// traverse best-first for the whole batch.
-		vizs := make([]*Viz, n)
-		w := o0.Parallelism
-		if ctxErr := forEachIndex(ctx, w, n, func(_, i int) { vizs[i] = viz(i) }); ctxErr != nil {
-			return nil, ctxErr
+		vizs := plans[0].GroupSeries(series)
+		res, err := scan(ctx, plans, len(vizs), func(i int) *Viz { return vizs[i] })
+		if err != nil {
+			return nil, err
 		}
-		ix, ixErr := BuildVizIndexContext(ctx, vizs, 0)
-		if ixErr != nil {
-			return nil, ixErr
+		for gi, qi := range idxs {
+			out[qi] = res[gi]
 		}
-		return mp.runMultiIndexed(ctx, plans, ix)
-	}
-
-	workers := o0.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ecs := make([]*evalCtx, workers)
-	for i := range ecs {
-		ecs[i] = getEvalCtx()
-	}
-	defer func() {
-		for _, ec := range ecs {
-			putEvalCtx(ec)
-		}
-	}()
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		abort    atomic.Bool
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abort.Store(true)
-	}
-
-	Q := len(plans)
-	slots := make([][]slot, Q)
-	shared := make([]*sharedTopK, Q)
-	for qi, p := range plans {
-		slots[qi] = make([]slot, n)
-		shared[qi] = newSharedTopK(p.opts.K)
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if mp.prune {
-		// Bound every candidate for every query up front. maxUB drives the
-		// scan order; the per-query bounds drive per-query pruning.
-		maxUB := make([]float64, n)
-		for i := range maxUB {
-			maxUB[i] = math.Inf(-1)
-		}
-		ctxErr := forEachIndex(ctx, workers, n, func(worker, i int) {
-			v := viz(i)
-			if v == nil {
-				return
-			}
-			ec := ecs[worker]
-			// One reset serves the whole batch: nBoundGroups and every
-			// signature id are batch-global, identical in all metas.
-			ec.resetBoundCaches(o0.chainMeta)
-			for qi, p := range plans {
-				ub := soundUpperBoundShared(ec, v, p.norm, p.opts)
-				slots[qi][i] = slot{v: v, ub: ub, pruned: true}
-				if ub > maxUB[i] {
-					maxUB[i] = ub
-				}
-			}
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ua, ub := maxUB[order[a]], maxUB[order[b]]
-			if ua != ub {
-				return ua > ub
-			}
-			return order[a] < order[b]
-		})
-	}
-
-	ctxErr := forEachIndex(ctx, workers, n, func(worker, j int) {
-		if abort.Load() {
-			return
-		}
-		i := order[j]
-		var v *Viz
-		if mp.prune {
-			v = slots[0][i].v
-		} else {
-			v = viz(i)
-		}
-		if v == nil {
-			return
-		}
-		if o0.Algorithm == AlgExhaustive && v.N() > o0.MaxExhaustivePoints {
-			fail(fmt.Errorf("executor: exhaustive search limited to %d points, series %q has %d",
-				o0.MaxExhaustivePoints, v.Series.Z, v.N()))
-			return
-		}
-		ec := ecs[worker]
-		// The memo reset is consumed by the first query actually evaluated
-		// on this candidate; per-query pruning skips must not consume it
-		// (the memos would then carry the previous candidate's entries).
-		resetMemo := true
-		for qi, p := range plans {
-			if mp.prune {
-				threshold := shared[qi].fastFloor() + p.opts.pruneThresholdBias
-				if !math.IsInf(threshold, -1) && slots[qi][i].ub < threshold {
-					continue // pruned for this query only; stays recorded
-				}
-			}
-			sc, ranges, err := evalVizShared(ec, v, p.norm, p.opts, p.solver, resetMemo)
-			if err != nil {
-				fail(err)
-				return
-			}
-			resetMemo = false
-			if mp.prune {
-				shared[qi].add(sc)
-			}
-			slots[qi][i] = scoredSlot(v, sc, ranges)
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	if mp.prune {
-		for qi, p := range plans {
-			floor, full := shared[qi].floor()
-			if err := p.verifyPruned(ctx, workers, ecs, slots[qi], floor, full, fail, &abort); err != nil {
-				return nil, err
-			}
-			if firstErr != nil {
-				return nil, firstErr
-			}
-		}
-	}
-
-	out := make([][]Result, Q)
-	for qi, p := range plans {
-		out[qi] = topKSlots(slots[qi], p.opts.K)
 	}
 	return out, nil
 }

@@ -112,6 +112,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: sequential Run(%d): %v", label, i, err)
 					}
+					requireSameResults(t, fmt.Sprintf("%s/q%d/reference", label, i), referenceRun(t, series, qs[i], opts), want)
 					requireSameResults(t, fmt.Sprintf("%s/q%d", label, i), want, got[i])
 				}
 			}

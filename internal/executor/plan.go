@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/dtw"
 	"shapesearch/internal/shape"
-	"shapesearch/internal/topk"
 )
 
 // Plan is a compiled query: validation, normalization, solver selection and
@@ -27,7 +24,8 @@ type Plan struct {
 	solver runSolver
 	// distance marks the DTW/Euclidean value-based baselines.
 	distance bool
-	// prune enables the two-stage collective pruning pipeline.
+	// prune enables lossless collective pruning: the bound-first scan (or
+	// index traversal) plus deferred exact verification.
 	prune bool
 	// pinned holds the query's pinned x windows; allPinned reports whether
 	// every segment is pinned (the non-fuzzy push-down case).
@@ -293,7 +291,7 @@ func (p *Plan) RunContext(ctx context.Context, series []dataset.Series) ([]Resul
 		series = filterSeriesWithData(series, p.pinned)
 	}
 	gcfg := p.groupCfg(series)
-	return p.run(ctx, len(series), func(i int) *Viz { return group(series[i], gcfg) })
+	return first(scan(ctx, []*Plan{p}, len(series), func(i int) *Viz { return group(series[i], gcfg) }))
 }
 
 // RunGrouped ranks pre-grouped candidate visualizations (from GroupSeries,
@@ -306,359 +304,7 @@ func (p *Plan) RunGrouped(vizs []*Viz) ([]Result, error) {
 // RunGroupedContext is RunGrouped with cooperative cancellation (see
 // SearchContext).
 func (p *Plan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([]Result, error) {
-	return p.run(ctx, len(vizs), func(i int) *Viz { return vizs[i] })
-}
-
-// sharedTopK is the mutex-guarded heap every pipeline worker feeds; its
-// floor (the current k-th best score) is the live pruning threshold. The
-// floor is additionally published as an atomic float64 bit pattern, updated
-// under the lock in add and read lock-free in the per-candidate hot path —
-// the floor is consulted once per candidate per worker, and a monotone,
-// possibly slightly stale threshold only affects how much is pruned, never
-// what the final top-k is (pruned candidates are verified against the exact
-// final floor).
-type sharedTopK struct {
-	mu        sync.Mutex
-	heap      *topk.Heap[float64]
-	floorBits atomic.Uint64
-}
-
-func newSharedTopK(k int) *sharedTopK {
-	s := &sharedTopK{heap: topk.New[float64](k)}
-	// −Inf means "no floor yet": it never raises a pruning threshold.
-	s.floorBits.Store(math.Float64bits(math.Inf(-1)))
-	return s
-}
-
-func (s *sharedTopK) add(score float64) {
-	s.mu.Lock()
-	s.heap.Add(score, score)
-	if f, ok := s.heap.Floor(); ok {
-		s.floorBits.Store(math.Float64bits(f))
-	}
-	s.mu.Unlock()
-}
-
-// fastFloor returns the last published floor without locking (−Inf until
-// the heap fills). The floor only rises, so a stale read is merely a looser
-// threshold.
-func (s *sharedTopK) fastFloor() float64 {
-	return math.Float64frombits(s.floorBits.Load())
-}
-
-func (s *sharedTopK) floor() (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.heap.Floor()
-}
-
-// slot is one candidate's pipeline outcome, indexed by input position.
-// Evaluated candidates carry their score and winning ranges; the Result
-// (and its BreakXs) is built only for the final top-k. Pruned candidates
-// are never discarded — they carry their grouped viz and sound upper bound
-// so the deferred verification stage can exactly re-score any of them that
-// the final top-k floor fails to dominate.
-type slot struct {
-	v      *Viz
-	ub     float64
-	score  float64
-	ranges [][2]int
-	ok     bool
-	pruned bool
-}
-
-// scoredSlot is the outcome of an exact evaluation of v.
-func scoredSlot(v *Viz, sc float64, ranges [][2]int) slot {
-	return slot{v: v, score: sc, ranges: ranges, ok: true}
-}
-
-// topKSlots selects the top-k results from the filled slots by
-// (score descending, input index ascending) — the deterministic tie rule
-// every engine shares, so pruned, parallel and sequential runs rank
-// identically.
-func topKSlots(slots []slot, k int) []Result {
-	idx := make([]int, 0, len(slots))
-	for i := range slots {
-		if slots[i].ok {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := slots[idx[a]].score, slots[idx[b]].score
-		if sa != sb {
-			return sa > sb
-		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > k {
-		idx = idx[:k]
-	}
-	out := make([]Result, len(idx))
-	for i, j := range idx {
-		out[i] = makeResult(slots[j].v, slots[j].score, slots[j].ranges)
-	}
-	return out
-}
-
-// run is the unified scoring pipeline: a pool of Parallelism workers pulls
-// candidate indices, groups/evaluates them, and shares one top-k heap whose
-// floor is the collective pruning threshold fed to soundUpperBound (Section
-// 6.3). Pruning and parallelism compose: with one worker the pipeline
-// degenerates to a sequential pruned scan; with many, every worker both
-// benefits from and tightens the shared threshold.
-//
-// Lossless pruning: a candidate is pruned only when a provable upper bound
-// on its score (soundUpperBound) trails the live threshold, and even then
-// it is recorded, not discarded. After the main pass, any pruned candidate
-// whose bound reaches the final top-k floor is exactly re-scored on the
-// same worker pool before results are rebuilt. The returned top-k is
-// therefore identical — scores and ranking — to the unpruned scan: a
-// candidate absent from it either scored below the floor, or carried a
-// sound bound (hence an exact score) below the floor. The verification
-// stage normally re-scores nothing (the floor comes only from exact scores
-// and only rises, so a pruned candidate's bound stays below the final
-// floor); it exists so that any future bound regression degrades to wasted
-// work, never to a wrong answer.
-//
-// Determinism: workers fill per-index slots and the final top-k is selected
-// by (score, input index), so results are identical under any worker
-// interleaving, pruned or not.
-func (p *Plan) run(ctx context.Context, n int, viz func(int) *Viz) ([]Result, error) {
-	o := p.opts
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.distance {
-		return p.distanceRun(ctx, n, viz)
-	}
-
-	workers := o.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	if p.prune && !o.DisableAutoIndex && n >= lazyIndexMinCorpus {
-		// Corpus-scale inputs route through the shape index even without a
-		// prebuilt one: materialize the grouped candidates once (positions
-		// preserved — they are the ranking tie-break), build the sharded
-		// envelope index over them, and traverse best-first instead of
-		// bounding all n. Below the threshold the flat scan stays cheaper
-		// than the build.
-		vizs := make([]*Viz, n)
-		if ctxErr := forEachIndex(ctx, workers, n, func(_, i int) { vizs[i] = viz(i) }); ctxErr != nil {
-			return nil, ctxErr
-		}
-		ix, ixErr := BuildVizIndexContext(ctx, vizs, 0)
-		if ixErr != nil {
-			return nil, ixErr
-		}
-		return p.runIndexed(ctx, ix, nil)
-	}
-
-	// Per-worker evaluation contexts: every buffer the scoring kernel
-	// needs, pooled across runs so steady-state scoring allocates nothing.
-	ecs := make([]*evalCtx, workers)
-	for i := range ecs {
-		ecs[i] = getEvalCtx()
-	}
-	defer func() {
-		for _, ec := range ecs {
-			putEvalCtx(ec)
-		}
-	}()
-
-	var (
-		errMu    sync.Mutex
-		firstErr error
-		abort    atomic.Bool
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abort.Store(true)
-	}
-
-	slots := make([]slot, n)
-	shared := newSharedTopK(o.K)
-
-	// Bound-first ordering: with pruning on, every candidate is grouped and
-	// bounded up front (the bounds must be recorded anyway for the deferred
-	// verification stage), and the scoring pass visits candidates in
-	// descending-bound order. Likely-strong candidates score first, so the
-	// shared floor tightens almost immediately and pruning stays effective
-	// even when the strong candidates are rare and late in input order.
-	// Order never affects soundness — only how fast the threshold rises.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if p.prune {
-		ctxErr := forEachIndex(ctx, workers, n, func(worker, i int) {
-			v := viz(i)
-			if v == nil {
-				return
-			}
-			slots[i] = slot{v: v, ub: soundUpperBound(ecs[worker], v, p.norm, o), pruned: true}
-		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ua, ub := slots[order[a]].ub, slots[order[b]].ub
-			if ua != ub {
-				return ua > ub
-			}
-			return order[a] < order[b]
-		})
-	}
-
-	ctxErr := forEachIndex(ctx, workers, n, func(worker, j int) {
-		if abort.Load() {
-			return
-		}
-		i := order[j]
-		var v *Viz
-		if p.prune {
-			v = slots[i].v
-		} else {
-			v = viz(i)
-		}
-		if v == nil {
-			return
-		}
-		if o.Algorithm == AlgExhaustive && v.N() > o.MaxExhaustivePoints {
-			fail(fmt.Errorf("executor: exhaustive search limited to %d points, series %q has %d",
-				o.MaxExhaustivePoints, v.Series.Z, v.N()))
-			return
-		}
-		if p.prune {
-			// The floor is seeded by the bound-first scan itself: the first
-			// K exactly-scored candidates are the highest-bound ones, which
-			// is what the deleted stage-1 coarse sampling approximated at
-			// extra cost (it lost 3–50% end-to-end on every measured
-			// workload once this ordering existed).
-			threshold := shared.fastFloor() + o.pruneThresholdBias
-			if !math.IsInf(threshold, -1) && slots[i].ub < threshold {
-				return // stays recorded as pruned, with its bound
-			}
-		}
-		sc, ranges, err := evalViz(ecs[worker], v, p.norm, o, p.solver)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if p.prune {
-			// Tighten the live threshold. Without pruning nothing reads the
-			// shared floor, so skip the lock; the final top-k is rebuilt
-			// from slots either way.
-			shared.add(sc)
-		}
-		slots[i] = scoredSlot(v, sc, ranges)
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	if p.prune {
-		// The shared heap saw every exactly-scored candidate, so its floor
-		// is the final top-k floor the verification stage compares against.
-		floor, full := shared.floor()
-		if err := p.verifyPruned(ctx, workers, ecs, slots, floor, full, fail, &abort); err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-
-	return topKSlots(slots, o.K), nil
-}
-
-// verifyPruned is the deferred exact-verification stage (stage 3 of the
-// lossless pruning): every pruned candidate whose sound upper bound is not
-// strictly dominated by the final top-k floor (the shared heap's floor
-// after the main pass; full is false while fewer than k candidates scored,
-// and then every pruned candidate is verified) is re-scored exactly on the
-// worker pool, in place. Rescoring can only add results at or above the
-// floor, so a single pass suffices: candidates it leaves pruned carry a
-// bound — and therefore an exact score — provably below the floor.
-func (p *Plan) verifyPruned(ctx context.Context, workers int, ecs []*evalCtx, slots []slot, floor float64, full bool, fail func(error), abort *atomic.Bool) error {
-	rescue := make([]int, 0, 16)
-	for i := range slots {
-		if slots[i].pruned && (!full || slots[i].ub >= floor-boundEps) {
-			rescue = append(rescue, i)
-		}
-	}
-	if len(rescue) == 0 {
-		return nil
-	}
-	return forEachIndex(ctx, workers, len(rescue), func(worker, j int) {
-		if abort.Load() {
-			return
-		}
-		i := rescue[j]
-		sc, ranges, err := evalViz(ecs[worker], slots[i].v, p.norm, p.opts, p.solver)
-		if err != nil {
-			fail(err)
-			return
-		}
-		slots[i] = scoredSlot(slots[i].v, sc, ranges)
-	})
-}
-
-// forEachIndex runs fn over [0, n) on the given number of worker
-// goroutines (inline when one suffices), returning once all calls finish.
-// fn receives its worker's index (always < workers) so callers can hand
-// each worker private state. Cancellation is cooperative: once ctx is done
-// no further indices are dispatched, in-flight calls finish, and the
-// context's error is returned.
-func forEachIndex(ctx context.Context, workers, n int, fn func(worker, i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(0, i)
-		}
-		return ctx.Err()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain the channel without scoring
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return ctx.Err()
+	return first(scan(ctx, []*Plan{p}, len(vizs), func(i int) *Viz { return vizs[i] }))
 }
 
 // distanceRun ranks visualizations by DTW or Euclidean distance to a
@@ -671,13 +317,6 @@ feed:
 // interleaving.
 func (p *Plan) distanceRun(ctx context.Context, n int, viz func(int) *Viz) ([]Result, error) {
 	o := p.opts
-	workers := o.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	type refKey struct{ alt, n int }
 	var (
 		refMu sync.RWMutex
@@ -702,7 +341,7 @@ func (p *Plan) distanceRun(ctx context.Context, n int, viz func(int) *Viz) ([]Re
 		return computed
 	}
 	slots := make([]slot, n)
-	err := forEachIndex(ctx, workers, n, func(_, i int) {
+	err := forEachIndex(ctx, o.Parallelism, n, func(_, i int) {
 		v := viz(i)
 		if v == nil {
 			return
@@ -721,10 +360,10 @@ func (p *Plan) distanceRun(ctx context.Context, n int, viz func(int) *Viz) ([]Re
 				best = sc
 			}
 		}
-		slots[i] = scoredSlot(v, best, nil)
+		slots[i] = slot{v: v, score: best, id: int32(i), ok: true}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return topKSlots(slots, o.K), nil
+	return topK(slots, 0, 1, o.K), nil
 }

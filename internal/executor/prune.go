@@ -7,25 +7,26 @@ import (
 	"shapesearch/internal/shape"
 )
 
-// The collective pruning of Section 6.3 lives in the unified Plan pipeline
-// (plan.go) as two stages (the paper's stage-1 coarse sampling was measured
-// redundant under the bound-first scan and deleted — the first K exactly
-// scored candidates are the highest-bound ones, which seed the floor better
-// than a coarse sample did and for free):
+// The collective pruning of Section 6.3 runs in the scoring pipeline
+// (pipeline.go) as a bound-first scan plus deferred exact verification (the
+// paper's stage-1 coarse sampling was measured redundant under the
+// bound-first scan and deleted — the first K exactly scored candidates are
+// the highest-bound ones, which seed the floor better than a coarse sample
+// did and for free):
 //
-//   - The bounding stage runs inside every pipeline worker: soundUpperBound
-//     computes a provable upper bound on the candidate's query score, the
-//     scoring pass visits candidates in descending-bound order, and a
-//     candidate is pruned when its bound falls below the live shared
-//     threshold (the exact floor of the scores so far). Pruned candidates
-//     are never discarded — the worker records them with their bounds in
-//     the result slots.
-//   - Deferred exact verification (Plan.run) re-scores, after the main
-//     pass, every pruned candidate whose recorded bound reaches the final
-//     top-k floor. A sound bound plus verification makes pruning lossless:
-//     a candidate missing from the final top-k either scored exactly below
-//     the floor, or carried a bound (hence an exact score) provably below
-//     it.
+//   - Bounding runs inside every pipeline worker: soundUpperBound computes
+//     a provable upper bound on the candidate's query score, the scoring
+//     pass visits candidates in descending-bound order, and a candidate is
+//     pruned when its bound falls below the live shared threshold (the
+//     exact floor of the scores so far). Pruned candidates are never
+//     discarded — the worker records them with their bounds in the result
+//     slots.
+//   - Deferred exact verification (batchRun.verify) re-scores, after the
+//     main pass, every pruned candidate whose recorded bound reaches the
+//     final top-k floor. A sound bound plus verification makes pruning
+//     lossless: a candidate missing from the final top-k either scored
+//     exactly below the floor, or carried a bound (hence an exact score)
+//     provably below it.
 //
 // This file keeps the bound machinery itself. Unlike the earlier Table 7
 // mid-tree-level heuristic (whose gap a fixed 0.05 safety margin papered
@@ -130,29 +131,15 @@ func cappedExtreme(ps *pruneStats, vmax float64, hi bool) float64 {
 	return vmax*prefix[full] + rem*sel[full]
 }
 
-// soundUpperBound returns a provable upper bound on the candidate's query
-// score under the pipeline's solvers: per alternative, the chain's pinned
-// anchors and fuzzy runs are reconstructed exactly as solveChain assigns
-// them, each fuzzy run's minimum unit width feeds soundSlopeInterval, and
-// per-unit bounds compose through unitBounds into the chain's weighted sum
-// (weights sum to 1, so the chain bound is also ≥ the −1 of an infeasible
-// segmentation). All state lives on the memoized Viz (pruneSlopeStats) and
-// the worker's pooled evalCtx — the check allocates nothing in steady
-// state.
-func soundUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) float64 {
-	ec.resetBoundCaches(o.chainMeta)
-	return soundUpperBoundShared(ec, v, norm, o)
-}
-
 // resetBoundCaches invalidates the per-candidate bound caches: the slope
 // interval per width floor, the unit bound per (signature, width floor),
 // and — for pin-free chains — the whole chain bound per distinct bound
 // group, so alternatives with provably identical bounds (same unit-count
 // and (signature, weight) multiset; the bound is order-free within a fuzzy
-// run) derive it once. Single-query bounding resets per (candidate, query);
-// batch execution (runMulti) resets once per candidate and lets the caches
-// compose across queries — signature and bound-group ids are batch-global,
-// so the keys stay unambiguous.
+// run) derive it once. The pipeline resets once per candidate (and once per
+// envelope) and lets the caches compose across a batch's queries —
+// signature and bound-group ids are batch-global, so the keys stay
+// unambiguous.
 func (ec *evalCtx) resetBoundCaches(meta *chainMeta) {
 	ec.ubSpanKeys = ec.ubSpanKeys[:0]
 	ec.ubSpanLo = ec.ubSpanLo[:0]
@@ -168,9 +155,17 @@ func (ec *evalCtx) resetBoundCaches(meta *chainMeta) {
 	}
 }
 
-// soundUpperBoundShared is soundUpperBound minus the cache reset: the
-// caller owns the per-candidate cache lifecycle via resetBoundCaches.
-func soundUpperBoundShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) float64 {
+// soundUpperBound returns a provable upper bound on the candidate's query
+// score under the pipeline's solvers: per alternative, the chain's pinned
+// anchors and fuzzy runs are reconstructed exactly as solveChain assigns
+// them, each fuzzy run's minimum unit width feeds soundSlopeInterval, and
+// per-unit bounds compose through unitBounds into the chain's weighted sum
+// (weights sum to 1, so the chain bound is also ≥ the −1 of an infeasible
+// segmentation). All state lives on the memoized Viz (pruneSlopeStats) and
+// the worker's pooled evalCtx — the check allocates nothing in steady
+// state. The caller owns the per-candidate cache lifecycle:
+// resetBoundCaches must precede the candidate's first bound.
+func soundUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) float64 {
 	ps := v.pruneSlopeStats()
 	if ps.nPairs == 0 {
 		return math.Inf(1) // no valid pair: nothing to bound, never prune

@@ -83,6 +83,7 @@ func TestPruningIsLossless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireSameResults(t, "reference", referenceRun(t, series, q, opts), exact)
 		const victim = "transit024"
 		found := false
 		for _, r := range exact {
@@ -123,6 +124,7 @@ func TestPruningIsLossless(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				requireSameResults(t, fmt.Sprintf("seed=%d q=%q k=%d reference", seed, query, k), referenceRun(t, series, q, base), want)
 				for _, workers := range []int{1, 4} {
 					pruned := base
 					pruned.Pruning = true
@@ -149,6 +151,7 @@ func TestPruningIsLossless(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				requireSameResults(t, fmt.Sprintf("seed=%d q=%q reference", seed, query), referenceRun(t, series, q, base), want)
 				pruned := base
 				pruned.Pruning = true
 				got, err := SearchSeries(series, q, pruned)

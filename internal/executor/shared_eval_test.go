@@ -13,7 +13,7 @@ import (
 )
 
 // naivePlan returns a copy of the plan with the shared-segmentation
-// metadata stripped: evalViz, coarseScore and soundUpperBound all fall back
+// metadata stripped: evalViz and soundUpperBound both fall back
 // to the naive per-alternative loop — the reference behavior the shared
 // path must reproduce byte-identically.
 func naivePlan(p *Plan) *Plan {

@@ -2,8 +2,8 @@
 // (Sections 5 and 6 of the paper): the pipelined EXTRACT → GROUP → SEGMENT
 // → SCORE execution model, the optimal dynamic-programming segmenter, the
 // SegmentTree pattern-aware segmenter, the greedy and exhaustive baselines,
-// DTW/Euclidean baselines, push-down optimizations, and two-stage
-// collective pruning.
+// DTW/Euclidean baselines, push-down optimizations, and lossless
+// collective pruning (a bound-first scan plus deferred exact verification).
 package executor
 
 import (

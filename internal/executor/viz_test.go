@@ -152,6 +152,7 @@ func TestSoundBoundDominatesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ec.resetBoundCaches(o.chainMeta)
 			ub := soundUpperBound(ec, v, norm, o)
 			if ub < exact-1e-9 {
 				t.Fatalf("%q trial %d: sound bound %.12f below exact score %.12f", query, i, ub, exact)

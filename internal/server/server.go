@@ -546,47 +546,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer tk.release()
 	faultinject.Fire("server.search.admitted")
-	if batch {
-		s.searchBatch(ctx, w, r, req, ix, version, dv, spec, opts, tk.budget)
-		return
-	}
-	q, parseResp, err := s.parseQuery(req.parseRequest)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	plan, planHit, err := s.compilePlan(q, opts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	plan = plan.WithParallelism(tk.budget)
-	cands, err := s.fetchCandidates(ctx, w, r, req.Dataset, version, dv, ix, plan, spec)
-	if err != nil {
-		return // fetchCandidates wrote the error response
-	}
-	// Score under the same context: a disconnecting client (or the
-	// configured per-request timeout) cancels the worker pool instead of
-	// letting an abandoned query keep burning cores. A cached shape index
-	// routes the search through the best-first traversal (engines it cannot
-	// serve fall back to the flat pipeline inside RunIndexedContext).
-	faultinject.Fire("server.search.score")
-	var results []executor.Result
-	if cands.index != nil {
-		results, err = plan.RunIndexedContext(ctx, cands.index)
-	} else {
-		results, err = plan.RunGroupedContext(ctx, cands.vizs)
-	}
-	if err != nil {
-		s.writeSearchErr(w, r, err)
-		return
-	}
-	resp := searchResponse{
-		Parse:   *parseResp,
-		Results: renderResults(results, req.MaxPoints),
-		Debug:   s.planDebug(planHit),
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.searchBatch(ctx, w, r, req, ix, version, dv, spec, opts, tk.budget)
 }
 
 // compilePlan serves a compiled plan through the plan cache: the query is
@@ -604,9 +564,10 @@ func (s *Server) compilePlan(q shape.Query, opts executor.Options) (*executor.Pl
 	})
 }
 
-// fetchCandidates runs the candidate cache fetch for one plan + spec and
-// handles the surrounding protocol: the pre-fetch expiry check and error
-// status mapping. On failure it writes the error response and returns nil.
+// fetchCandidates runs the candidate cache fetch for one plan + spec, whose
+// candidate key (Plan.CandidateKey) is ckey, and handles the surrounding
+// protocol: the pre-fetch expiry check and error status mapping. On
+// failure it writes the error response and returns nil.
 //
 // Repeated queries over the same visual parameters (dataset version +
 // effective extract spec + group config) reuse the grouped Viz slices and
@@ -624,12 +585,12 @@ func (s *Server) compilePlan(q shape.Query, opts executor.Options) (*executor.Pl
 // that raced an append could have extracted pre-append rows yet be written
 // after the patcher ran, silently serving stale candidates from then on.
 // Both interleavings now die at the store instead.
-func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *http.Request, ds string, version, dv uint64, ix *dataset.Index, plan *executor.Plan, spec dataset.ExtractSpec) (cachedCandidates, error) {
+func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *http.Request, ds string, version, dv uint64, ix *dataset.Index, plan *executor.Plan, spec dataset.ExtractSpec, ckey string) (cachedCandidates, error) {
 	if err := ctx.Err(); err != nil {
 		s.writeSearchErr(w, r, err)
 		return cachedCandidates{}, err
 	}
-	key := cacheKey(ds, version, plan.CandidateKey(spec))
+	key := cacheKey(ds, version, ckey)
 	validate := func() bool {
 		s.mu.RLock()
 		ok := s.versions[ds] == version && s.deltaVersions[ds] == dv
@@ -660,26 +621,46 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 	return cands, nil
 }
 
-// searchBatch executes the batch form of /api/search: every query is
+// searchBatch parses, compiles, fetches and scores the queries of one
+// /api/search request; a single query is a batch of one. Every query is
 // served through the plan cache, queries whose candidate sets provably
 // coincide (equal Plan.CandidateKey — same effective extract spec and
 // group config) share one candidate-cache entry, and each such group is
 // scored in a single pass over its candidates by executor.MultiPlan.
-// Results come back in input-query order.
+// Scoring runs under the request's context: a disconnecting client (or the
+// configured per-request timeout) cancels the worker pool instead of
+// letting an abandoned query keep burning cores. A cached shape index
+// routes the group through the best-first traversal (engines it cannot
+// serve fall back to the flat pipeline inside RunIndexedContext).
+//
+// The batch form replies with one entry per query in input order and
+// prefixes a query's error with its index; the single form replies with
+// parse and results.
 func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest, ix *dataset.Index, version, dv uint64, spec dataset.ExtractSpec, opts executor.Options, budget int) {
-	parses := make([]parseResponse, len(req.Queries))
-	plans := make([]*executor.Plan, len(req.Queries))
+	batch := len(req.Queries) > 0
+	queries := req.Queries
+	if !batch {
+		queries = []parseRequest{req.parseRequest}
+	}
+	queryErr := func(i int, err error) string {
+		if !batch {
+			return err.Error()
+		}
+		return fmt.Sprintf("query %d: %s", i, err)
+	}
+	parses := make([]parseResponse, len(queries))
+	plans := make([]*executor.Plan, len(queries))
 	allHit := true
-	for i, pr := range req.Queries {
+	for i, pr := range queries {
 		q, presp, err := s.parseQuery(pr)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, fmt.Sprintf("query %d: %s", i, err))
+			writeError(w, http.StatusUnprocessableEntity, queryErr(i, err))
 			return
 		}
 		parses[i] = *presp
 		plan, hit, err := s.compilePlan(q, opts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %s", i, err))
+			writeError(w, http.StatusBadRequest, queryErr(i, err))
 			return
 		}
 		allHit = allHit && hit
@@ -708,7 +689,7 @@ func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		cands, err := s.fetchCandidates(ctx, w, r, req.Dataset, version, dv, ix, group[0], spec)
+		cands, err := s.fetchCandidates(ctx, w, r, req.Dataset, version, dv, ix, group[0], spec, k)
 		if err != nil {
 			return // fetchCandidates wrote the error response
 		}
@@ -728,11 +709,16 @@ func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http
 		}
 	}
 	resp := searchResponse{Debug: s.planDebug(allHit)}
-	resp.Queries = make([]batchQueryResult, len(plans))
-	for i := range plans {
-		resp.Queries[i] = batchQueryResult{
-			Parse:   parses[i],
-			Results: renderResults(results[i], req.MaxPoints),
+	if !batch {
+		resp.Parse = parses[0]
+		resp.Results = renderResults(results[0], req.MaxPoints)
+	} else {
+		resp.Queries = make([]batchQueryResult, len(plans))
+		for i := range plans {
+			resp.Queries[i] = batchQueryResult{
+				Parse:   parses[i],
+				Results: renderResults(results[i], req.MaxPoints),
+			}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -859,10 +845,14 @@ func algorithmByName(name string) (executor.Algorithm, error) {
 	}
 }
 
-// downsample thins a series to at most n points, keeping endpoints.
+// downsample thins a series to at most n points, keeping endpoints (the
+// first point alone when n is 1).
 func downsample(x, y []float64, n int) ([]float64, []float64) {
 	if len(x) <= n {
 		return x, y
+	}
+	if n == 1 {
+		return x[:1], y[:1]
 	}
 	ox := make([]float64, 0, n)
 	oy := make([]float64, 0, n)

@@ -194,6 +194,40 @@ func TestSearchEndToEnd(t *testing.T) {
 	if len(resp.Results[0].X) == 0 || len(resp.Results[0].BreakXs) == 0 {
 		t.Fatal("series data missing")
 	}
+
+	// maxPoints 1 echoes each series' first point, in the single-query and
+	// the batch form alike.
+	single := req
+	single.MaxPoints = 1
+	batch := searchRequest{
+		Queries: []parseRequest{req.parseRequest},
+		Dataset: "demo", Z: "z", X: "x", Y: "y", K: 2, MaxPoints: 1,
+	}
+	for _, body := range []searchRequest{single, batch} {
+		rec := doJSON(t, s, http.MethodPost, "/api/search", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("maxPoints 1: status = %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp searchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		results := resp.Results
+		if len(body.Queries) > 0 {
+			if len(resp.Queries) != 1 {
+				t.Fatalf("maxPoints 1 batch: %d query results, want 1", len(resp.Queries))
+			}
+			results = resp.Queries[0].Results
+		}
+		if len(results) != 2 {
+			t.Fatalf("maxPoints 1: results = %+v", results)
+		}
+		for _, res := range results {
+			if len(res.X) != 1 || len(res.Y) != 1 || res.X[0] != 0 {
+				t.Fatalf("maxPoints 1: %s echoed x=%v y=%v, want its first point", res.Z, res.X, res.Y)
+			}
+		}
+	}
 }
 
 func TestSearchNLQuery(t *testing.T) {

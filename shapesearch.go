@@ -6,8 +6,8 @@
 // (visual regular expressions, natural language, and sketches), and a
 // pattern-matching engine with the paper's segmentation algorithms
 // (optimal dynamic programming, the linear-time SegmentTree, greedy and
-// DTW/Euclidean baselines), push-down optimizations and two-stage
-// collective pruning.
+// DTW/Euclidean baselines), push-down optimizations and lossless
+// collective pruning (a bound-first scan plus deferred exact verification).
 //
 // Quickstart:
 //
@@ -126,7 +126,7 @@ const (
 	AlgAuto = executor.AlgAuto
 	// AlgDP is the optimal O(n²k) dynamic program.
 	AlgDP = executor.AlgDP
-	// AlgSegmentTree is the O(nk⁴) pattern-aware segmenter.
+	// AlgSegmentTree is the O(nk³) pattern-aware segmenter.
 	AlgSegmentTree = executor.AlgSegmentTree
 	// AlgGreedy is the local-search baseline.
 	AlgGreedy = executor.AlgGreedy
