@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -303,7 +304,12 @@ func parseFilter(clause string) (shapesearch.Filter, error) {
 	return shapesearch.Filter{}, fmt.Errorf("cannot parse filter %q (want col<op>value)", clause)
 }
 
-// sparkline renders a series as unicode block characters.
+// gapRune draws a sample that is NaN or ±Inf.
+const gapRune = '·'
+
+// sparkline renders a series as unicode block characters. The blocks span
+// the finite samples' range; a non-finite sample (or a bucket averaging
+// one in) is drawn as gapRune.
 func sparkline(ys []float64, width int) string {
 	if len(ys) == 0 {
 		return ""
@@ -334,22 +340,30 @@ func sparkline(ys []float64, width int) string {
 			sampled = append(sampled, sum/float64(hi-lo))
 		}
 	}
-	min, max := sampled[0], sampled[0]
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range sampled {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
 	}
-	span := max - min
+	span := hi - lo
 	if span == 0 {
 		span = 1
 	}
+	top := len(blocks) - 1
 	var sb strings.Builder
 	for _, v := range sampled {
-		idx := int((v - min) / span * float64(len(blocks)-1))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			sb.WriteRune(gapRune)
+			continue
+		}
+		// The comparisons also catch a span that overflowed to +Inf.
+		idx := 0
+		if f := (v - lo) / span * float64(top); f >= float64(top) {
+			idx = top
+		} else if f > 0 {
+			idx = int(f)
+		}
 		sb.WriteRune(blocks[idx])
 	}
 	return sb.String()

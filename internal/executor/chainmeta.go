@@ -49,6 +49,11 @@ type chainMeta struct {
 	sigFast []shape.PatternKind
 	// sigFastTarget is the θ target for fast PatSlope signatures.
 	sigFastTarget []float64
+	// bare reports that every unit of every alternative of this query is a
+	// bare pattern (sigFast ≠ PatNone): each alternative's score on a
+	// skip-free chart is then a fixed function of the range angles its
+	// segmentation picks, which is what the tiling bound (prune.go) needs.
+	bare bool
 	// nBoundGroups is the number of distinct pin-free chain-bound groups.
 	nBoundGroups int
 }
@@ -172,6 +177,12 @@ func (st *sigIntern) finalize(ms ...*chainMeta) {
 		m.sigFast = st.sigFast
 		m.sigFastTarget = st.sigFastTarget
 		m.nBoundGroups = len(st.boundGroups)
+		m.bare = true
+		for _, am := range m.alts {
+			for _, sig := range am.bsigs {
+				m.bare = m.bare && st.sigFast[sig] != shape.PatNone
+			}
+		}
 	}
 }
 

@@ -85,6 +85,13 @@ type evalCtx struct {
 	ubChainUB      []float64
 	ubChainSet     []bool
 
+	// Tiling-bound scratch (tilingUpperBound): the fitted angle of every
+	// range of one candidate, packed by end point (fillRangeAngles), and the
+	// DP's two rows. batchRun.score fills the angles at most once per call,
+	// for the candidate it is scoring, and reads them only for that one.
+	tileAngle []float64
+	tileRows  []float64
+
 	// SegmentTree scratch, overwritten by every treeRun: the flat node
 	// list, the entry slab (k² pointer-free entries per node), the node ids
 	// of the level being combined and the next, and the root's breaks.

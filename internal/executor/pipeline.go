@@ -30,14 +30,19 @@ import (
 //
 // Lossless pruning: a candidate is pruned only when a provable upper bound
 // on its score trails the live threshold, and even then it is recorded,
-// not discarded. After the main pass, any pruned slot whose bound reaches
-// its query's final top-k floor is exactly re-scored before results are
-// selected. Each query's top-k is therefore identical — scores and ranking
-// — to its unpruned scan: a candidate absent from it either scored below
-// the floor, or carried a sound bound (hence an exact score) below the
-// floor. Verification normally re-scores nothing (the floor comes only from
-// exact scores and only rises); it exists so that any future bound
-// regression degrades to wasted work, never to a wrong answer.
+// not discarded. The bound comes in two tiers (prune.go): the cheap
+// per-unit bound, recorded for every candidate up front and setting the
+// scan order, and — only when that reaches the floor, for a bare query on
+// a short chart — the tiling bound, computed in the per-candidate step and
+// recorded in place of the cheap one when it prunes. After the main pass,
+// any pruned slot whose bound reaches its query's final top-k floor is
+// exactly re-scored before results are selected. Each query's top-k is
+// therefore identical — scores and ranking — to its unpruned scan: a
+// candidate absent from it either scored below the floor, or carried a
+// sound bound (hence an exact score) below the floor. Verification
+// normally re-scores nothing (the floor comes only from exact scores and
+// only rises); it exists so that any future bound regression degrades to
+// wasted work, never to a wrong answer.
 //
 // Batches: each query keeps its own top-k heap, floor, bounds and
 // verification, so a candidate is skipped only for the queries whose floor
@@ -181,13 +186,17 @@ func (r *batchRun) bound(ec *evalCtx, v *Viz, id int32, s []slot) float64 {
 
 // score evaluates v for every query whose live floor its recorded bound
 // reaches (every query when pruning is off), raising that query's floor.
-// The score/fit memo reset is consumed by the first query actually
-// evaluated and the memos then stay live across the remaining queries, so
-// every (signature, range) score and range fit is computed once per
-// candidate for the whole batch; a query that prunes the candidate keeps
-// its bound-carrying slot and must not consume the reset (the memos would
-// then carry the previous candidate's entries). It returns false after
-// recording an evaluation error.
+// Where the tiling bound applies it gets the last word before the exact
+// evaluation: the range-angle table is filled for v by the first query
+// that needs it and serves the batch's other queries for v only, and a
+// query it prunes records it in the slot, below the cheap bound it
+// tightens. The score/fit memo reset is consumed by the first query
+// actually evaluated and the memos then stay live across the remaining
+// queries, so every (signature, range) score and range fit is computed
+// once per candidate for the whole batch; a query that prunes the
+// candidate keeps its bound-carrying slot and must not consume the reset
+// (the memos would then carry the previous candidate's entries). It
+// returns false after recording an evaluation error.
 func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	o0 := r.plans[0].opts
 	if o0.Algorithm == AlgExhaustive && v.N() > o0.MaxExhaustivePoints {
@@ -197,11 +206,24 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	}
 	prune := r.plans[0].prune
 	resetMemo := true
+	angles := false // ec's range-angle table holds v's angles
 	for q, p := range r.plans {
 		if prune {
 			threshold := r.heaps[q].fastFloor() + p.opts.pruneThresholdBias
-			if !math.IsInf(threshold, -1) && s[q].ub < threshold {
-				continue // stays recorded as pruned, with its bound
+			if !math.IsInf(threshold, -1) {
+				if s[q].ub < threshold {
+					continue // stays recorded as pruned, with its bound
+				}
+				if tilingApplies(v, p.opts) {
+					if !angles {
+						ec.fillRangeAngles(v)
+						angles = true
+					}
+					if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < threshold {
+						s[q].ub = tb // tighter than the cheap bound
+						continue
+					}
+				}
 			}
 		}
 		sc, ranges, err := evalVizShared(ec, v, p.norm, p.opts, p.solver, resetMemo)

@@ -28,11 +28,13 @@ import (
 //     exactly below the floor, or carried a bound (hence an exact score)
 //     provably below it.
 //
-// This file keeps the bound machinery itself. Unlike the earlier Table 7
-// mid-tree-level heuristic (whose gap a fixed 0.05 safety margin papered
-// over — and failed to: see TestPruningIsLossless's pinned luminosity
-// case), the bound here makes no whole-node assumption, so unit ranges that
-// split SegmentTree nodes are covered by construction:
+// This file keeps the bound machinery itself, in two tiers.
+//
+// Tier 1, the cheap bound, runs for every candidate and every query. Unlike
+// the earlier Table 7 mid-tree-level heuristic (whose gap a fixed 0.05
+// safety margin papered over — and failed to: see TestPruningIsLossless's
+// pinned luminosity case), it makes no whole-node assumption, so unit
+// ranges that split SegmentTree nodes are covered by construction:
 //
 // For any contiguous point range, the least-squares slope is a convex
 // combination of the adjacent-pair slopes inside it (telescoping the fit:
@@ -45,6 +47,27 @@ import (
 // in interval form, score.BoundsInterval) and the operator composition of
 // Property 5.1; constructs whose score is not slope-determined stay at the
 // trivial [−1, 1].
+//
+// Tier 1 lets every unit take the steepest range on its own, while a real
+// segmentation tiles the whole chart. Tier 2, the tiling bound, closes that
+// gap on short charts: when a query's cheap bound reaches its live floor,
+// batchRun.score computes tilingUpperBound, the best score over every
+// tiling of the chart into each alternative's units, each unit at least
+// the solver's width floor wide, and prunes the candidate without a
+// treeRun if that trails the floor. The slot then records it as its bound,
+// so verification rescues against the tighter bound. Soundness is
+// containment: the SegmentTree's final segmentation — leaf-aligned breaks
+// (every leaf at least the width floor wide) moved by refineBreaks (which
+// keeps every unit at least the width floor wide) — is one of those
+// tilings, and for bare patterns its exact score is the sum the DP adds up
+// for it, bit for bit (same angles, same expressions, same order), so the
+// DP's maximum is at least the exact score. Tier 2 applies only where that
+// argument holds and pays (tilingApplies): every unit a bare pattern
+// (chainMeta.bare; a location, modifier, sketch, operator or reference
+// makes a unit's score more than a function of its range angle), no skip
+// mask (the exact path scores a range over a skipped point −1, which the
+// table does not know), and a chart no longer than tilingMaxPoints, the
+// cost rule below.
 
 // boundEps absorbs floating-point noise when comparing a bound against an
 // exactly-scored floor: a candidate is only dismissed when its bound is
@@ -405,4 +428,124 @@ func unitBounds(n *shape.Node, sLo, sHi float64, mayFail bool) (float64, float64
 	default:
 		return score.WorstScore, score.BestScore
 	}
+}
+
+// tilingMaxPoints is the longest chart the tiling bound runs on. The bound
+// costs O(n²) for the range-angle table plus O(k·n²) for the DP, while the
+// SegmentTree it may save grows about linearly in n, so the bound only
+// pays on short charts. On 12-point stock charts it spares the exact
+// evaluation of 74–90% of the candidates that reach it (nine bare queries
+// over gen.Stocks(300, 12) score 25–54 candidates instead of 168–260), so
+// it saves work while it costs at most about half an exact evaluation:
+// the cap is the longest chart where it does.
+// BenchmarkTilingBound (random walks, one worker, "u ; d" to a 6-unit
+// chain; median of 3 runs on a 2-vCPU Intel Xeon VM) measured the bound at
+// 0.21–0.30 of evalViz at 12 points, 0.37–0.42 at 16, 0.45–0.50 at 20,
+// 0.50–0.64 at 24, 0.62–0.87 at 32 and 1.6–3.4 past 40, where the tree's
+// width floor widens its leaves.
+const tilingMaxPoints = 20
+
+// tilingApplies reports whether the tiling bound covers query o on v: every
+// unit of o is a bare pattern, no point of v is skipped, and v is short
+// enough for the bound to cost less than the exact evaluation it may save.
+func tilingApplies(v *Viz, o *Options) bool {
+	return o.chainMeta != nil && o.chainMeta.bare && v.Skipped == nil && v.N() <= tilingMaxPoints
+}
+
+// fillRangeAngles fills ec.tileAngle with the fitted angle of every range
+// [i, j], i < j, of v, packed by end point: range [i, j] sits at
+// j(j−1)/2 + i, so the ranges ending at j form one contiguous row. Each
+// entry repeats segstat.Stats.Slope over v.Prefix.Range(i, j+1) operation
+// for operation, its degenerate rule included, then math.Atan: it is the
+// angle fitMemo.fit caches, bit for bit, and NaN for a degenerate fit.
+func (ec *evalCtx) fillRangeAngles(v *Viz) {
+	n := v.N()
+	angles := grow(&ec.tileAngle, n*(n-1)/2)
+	p := v.Prefix
+	at := 0
+	for j := 1; j < n; j++ {
+		e := &p[j+1]
+		for i := 0; i < j; i++ {
+			s := &p[i]
+			cnt, sx := e.N-s.N, e.SumX-s.SumX
+			a := math.NaN()
+			if cnt >= 2 {
+				den := cnt*(e.SumXX-s.SumXX) - sx*sx
+				if den != 0 && !math.IsNaN(den) {
+					sl := (cnt*(e.SumXY-s.SumXY) - sx*(e.SumY-s.SumY)) / den
+					if !math.IsNaN(sl) && !math.IsInf(sl, 0) {
+						a = math.Atan(sl)
+					}
+				}
+			}
+			angles[at] = a
+			at++
+		}
+	}
+}
+
+// tilingUpperBound is the second bound tier, for a query and chart
+// tilingApplies accepts, read from the range angles fillRangeAngles left in
+// ec for v. Per alternative it is the best Σ w_t·f_t over every tiling of
+// [0, n−1] into the chain's k units, each at least the solver's width floor
+// wide, where f_t is the unit's score of its range angle (−1 for a
+// degenerate fit, as in unitScore). The sum runs in unit order from 0, as
+// scoreRanges' does, so on the tiling the SegmentTree returns it equals the
+// exact score bit for bit. The bound is the max over alternatives and never
+// below the −1 an infeasible segmentation scores.
+func tilingUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) float64 {
+	meta := o.chainMeta
+	n := v.N()
+	rows := grow(&ec.tileRows, 2*n)
+	prev, cur := rows[:n], rows[n:]
+	ub := score.WorstScore
+	for ai, alt := range norm.Alternatives {
+		k := len(alt.Units)
+		if n-1 < k {
+			continue // no tiling: the exact path scores −1
+		}
+		span := minSpanWidth(o, n, k, 0, n-1)
+		// prev[q] is the best sum of units [0, t) over [0, q]; the first
+		// unit starts at 0, each unit ends where the next starts, and the
+		// last ends at n−1.
+		prev[0] = 0
+		for t, u := range alt.Units {
+			sig := meta.alts[ai].bsigs[t]
+			fk, target, w := meta.sigFast[sig], meta.sigFastTarget[sig], u.Weight
+			pLo, pHi := (t+1)*span, n-1-(k-1-t)*span
+			if t == k-1 {
+				pLo = n - 1
+			}
+			for p := pLo; p <= pHi; p++ {
+				row := ec.tileAngle[p*(p-1)/2 : p*(p+1)/2] // ranges [q, p]
+				qLo, qHi := t*span, p-span
+				if t == 0 {
+					qHi = 0
+				}
+				best := math.Inf(-1)
+				for q := qLo; q <= qHi; q++ {
+					// unitScore's bare-pattern scores, unwrapped as there.
+					a, f := row[q], score.WorstScore
+					switch {
+					case math.IsNaN(a):
+					case fk == shape.PatUp:
+						f = 2 * a / math.Pi
+					case fk == shape.PatDown:
+						f = -(2 * a / math.Pi)
+					default:
+						f = score.ForKindAngle(fk, a, target)
+					}
+					if s := prev[q] + w*f; s > best {
+						best = s
+					}
+				}
+				cur[p] = best
+			}
+			prev, cur = cur, prev
+		}
+		if prev[n-1] > ub {
+			ub = prev[n-1]
+		}
+	}
+	return ub
 }

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -200,6 +201,37 @@ func TestDeferredVerificationRescues(t *testing.T) {
 				assertSameResults(t, fmt.Sprintf("q=%q bias=%v workers=%d", query, bias, workers), want, got)
 			}
 		}
+	}
+}
+
+// TestTilingTierIsLive pins the tiling bound into the per-candidate step
+// both drivers share: on a short-chart stocks corpus a pruned
+// "u ; d ; u ; d" over a one-shard index must score at most 60 of its 300
+// candidates exactly (the cheap bound alone scores 168), with results
+// equal to the reference run.
+func TestTilingTierIsLive(t *testing.T) {
+	series, err := dataset.Extract(gen.Stocks(300, 12, 1), dataset.ExtractSpec{Z: "symbol", X: "day", Y: "price"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := regexlang.MustParse("u ; d ; u ; d")
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	want := referenceRun(t, series, q, opts)
+	opts.Pruning = true
+	plan, err := Compile(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st IndexStats
+	got, err := plan.RunIndexedStatsContext(context.Background(), BuildVizIndex(plan.GroupSeries(series), 1), &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "pruned", want, got)
+	t.Logf("scored %d of %d", st.Scored, st.Candidates)
+	if st.Candidates != 300 || st.Scored > 60 {
+		t.Fatalf("scored %d of %d candidates exactly, want at most 60 of 300", st.Scored, st.Candidates)
 	}
 }
 

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,6 +158,284 @@ func TestSoundBoundDominatesExact(t *testing.T) {
 			if ub < exact-1e-9 {
 				t.Fatalf("%q trial %d: sound bound %.12f below exact score %.12f", query, i, ub, exact)
 			}
+		}
+	}
+}
+
+// tilingQueries are bare queries covering every construct the tiling bound
+// serves: up, down, flat, θ, *, OR over chains, optionals, n − 1 < k.
+var tilingQueries = []string{
+	"u ; d",
+	"d ; u ; d ; u",
+	"f ; u ; d",
+	"theta=30 ; d",
+	"u ; * ; d",
+	"(u ; d) | (d ; u)",
+	"u? ; d ; u?",
+	"u ; d ; u ; d ; u ; d",
+}
+
+// tilingCharts are the charts of length n the tiling-bound tests bound: a
+// noisy walk, a clean peak, a constant, and a walk over repeated x, whose
+// equal-x ranges have degenerate fits.
+func tilingCharts(rng *rand.Rand, n int) []*Viz {
+	peak := make([]float64, n)
+	for i := range peak {
+		peak[i] = float64(min(i, n-1-i)) + rng.Float64()*0.1
+	}
+	dup := randomWalk(rng, n)
+	for i := range dup.X {
+		dup.X[i] = float64(i / 2)
+	}
+	var out []*Viz
+	for _, s := range []dataset.Series{randomWalk(rng, n), mkSeries("p", peak...), mkSeries("c", make([]float64, n)...), dup} {
+		if v := group(s, groupConfig{zNormalize: true}); v != nil {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// scoreStep runs the pipeline's per-candidate step for plan p on v with the
+// query's floor at floor, and returns v's slot.
+func scoreStep(p *Plan, v *Viz, floor float64) slot {
+	r := newBatchRun([]*Plan{p}, 1)
+	defer r.release()
+	r.heaps[0].floorBits.Store(math.Float64bits(floor))
+	s := make([]slot, 1)
+	r.bound(r.ecs[0], v, 0, s)
+	r.score(r.ecs[0], v, 0, s)
+	return s[0]
+}
+
+// TestTilingBoundDominatesExact: the second bound tier must dominate the
+// exact SegmentTree score with no margin beyond boundEps, across chart
+// lengths up to past the cap (n − 1 < k included), degenerate fits,
+// constant charts, width floors, strides and every bare construct. Its
+// range angles must be fitMemo.fit's bit for bit, and the tier must decline
+// — leaving the cheap bound to stand — above the cap, under a skip mask and
+// for a non-bare unit.
+func TestTilingBoundDominatesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ec := newEvalCtx()
+	var vizs []*Viz
+	var fm fitMemo
+	for n := 2; n <= tilingMaxPoints+2; n++ {
+		for _, v := range tilingCharts(rng, n) {
+			vizs = append(vizs, v)
+			ec.fillRangeAngles(v)
+			fm.reset()
+			for j, at := 1, 0; j < n; j++ {
+				for i := 0; i < j; i++ {
+					_, want, _ := fm.fit(v, i, j)
+					if got := ec.tileAngle[at]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d range [%d, %d]: table angle %v, fitMemo.fit %v", n, i, j, got, want)
+					}
+					at++
+				}
+			}
+		}
+	}
+	for _, frac := range []float64{1e-9, 0.05, 0.3} {
+		for stride := 1; stride <= 3; stride++ {
+			opts := seqOpts()
+			opts.MinSegmentFrac, opts.Stride = frac, stride
+			for _, query := range tilingQueries {
+				p, err := Compile(regexlang.MustParse(query), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range vizs {
+					exact, _, err := evalViz(ec, v, p.norm, p.opts, treeRun)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Past the cap the tier declines, but the bound is
+					// still sound there.
+					if tilingApplies(v, p.opts) != (v.N() <= tilingMaxPoints) {
+						t.Fatalf("%q n=%d: tier applies = %v", query, v.N(), !(v.N() <= tilingMaxPoints))
+					}
+					ec.fillRangeAngles(v)
+					tb := tilingUpperBound(ec, v, p.norm, p.opts)
+					if tb < exact-boundEps || tb < -1 {
+						t.Fatalf("%q frac=%v stride=%d n=%d: tiling bound %.17g, exact score %.17g",
+							query, frac, stride, v.N(), tb, exact)
+					}
+				}
+			}
+		}
+	}
+
+	// Declines: each case has a chart whose tiling bound, were it computed,
+	// would prune it; the per-candidate step must score it anyway.
+	pruned := seqOpts()
+	pruned.Pruning = true
+	bare, err := Compile(regexlang.MustParse("u ; d ; u ; d"), pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonBare, err := Compile(regexlang.MustParse("u ; (d | f) ; u ; d"), pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    *Plan
+		mk   func() *Viz
+	}{
+		{"above cap", bare, func() *Viz {
+			return group(randomWalk(rng, tilingMaxPoints+1), groupConfig{zNormalize: true})
+		}},
+		{"skip mask", bare, func() *Viz {
+			return group(randomWalk(rng, 16), groupConfig{zNormalize: true, keepRanges: [][2]float64{{-1, 100}}})
+		}},
+		{"non-bare unit", nonBare, func() *Viz { return group(randomWalk(rng, 16), groupConfig{zNormalize: true}) }},
+	}
+	for _, c := range cases {
+		var v *Viz
+		var cheap float64
+		for tries := 0; ; tries++ {
+			if tries == 100 {
+				t.Fatalf("%s: no chart with a tiling bound below its cheap bound", c.name)
+			}
+			v = c.mk()
+			ec.resetBoundCaches(c.p.opts.chainMeta)
+			cheap = soundUpperBound(ec, v, c.p.norm, c.p.opts)
+			ec.fillRangeAngles(v)
+			if tilingUpperBound(ec, v, bare.norm, bare.opts) < cheap-0.05 {
+				break
+			}
+		}
+		if tilingApplies(v, c.p.opts) {
+			t.Fatalf("%s: tier applies", c.name)
+		}
+		if s := scoreStep(c.p, v, cheap); !s.ok {
+			t.Fatalf("%s: candidate pruned at a floor equal to its cheap bound", c.name)
+		}
+	}
+	// And the applying case: the same step prunes and records the tiling
+	// bound as the slot's bound.
+	for tries := 0; ; tries++ {
+		if tries == 100 {
+			t.Fatal("no chart with a tiling bound below its cheap bound")
+		}
+		v := group(randomWalk(rng, 16), groupConfig{zNormalize: true})
+		ec.resetBoundCaches(bare.opts.chainMeta)
+		cheap := soundUpperBound(ec, v, bare.norm, bare.opts)
+		ec.fillRangeAngles(v)
+		tb := tilingUpperBound(ec, v, bare.norm, bare.opts)
+		if tb >= cheap-0.05 {
+			continue
+		}
+		if s := scoreStep(bare, v, cheap); s.ok || !s.pruned || s.ub != tb {
+			t.Fatalf("slot %+v, want pruned with the tiling bound %v", s, tb)
+		}
+		break
+	}
+}
+
+// FuzzTilingBound decodes a chart of 2 to 24 points (x steps of 0, 1 or 2,
+// so repeated x; y bytes 125, 126 and 127 stand for NaN, −Inf and +Inf), a
+// bare query from tilingQueries and a width floor, and demands the tiling
+// bound dominate the exact score with no margin beyond boundEps and never
+// fall below −1. Bit 0 of the flags byte skips z-normalization, so
+// non-finite values reach the range sums.
+func FuzzTilingBound(f *testing.F) {
+	f.Add([]byte{0, 13, 0, 1, 10, 1, 20, 1, 5, 1, 30, 1, 0, 1, 12})
+	f.Add([]byte{7, 0, 0, 0, 1, 1, 2, 0, 3, 1, 4, 1, 3, 0, 2, 1, 1})
+	f.Add([]byte{3, 100, 1, 1, 10, 1, 127, 1, 20, 1, 125, 1, 5, 2, 126, 1, 8})
+	f.Add([]byte{5, 255, 0, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		query := tilingQueries[int(data[0])%len(tilingQueries)]
+		opts := seqOpts()
+		if data[1] > 0 {
+			opts.MinSegmentFrac = float64(data[1]) / 512
+		} else {
+			opts.MinSegmentFrac = 1e-9
+		}
+		points := data[3:]
+		n := min(len(points)/2, 24)
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				xs[i] = xs[i-1] + float64(points[2*i]%3)
+			}
+			switch y := int8(points[2*i+1]); y {
+			case 125:
+				ys[i] = math.NaN()
+			case 126:
+				ys[i] = math.Inf(-1)
+			case 127:
+				ys[i] = math.Inf(1)
+			default:
+				ys[i] = float64(y)
+			}
+		}
+		v := group(dataset.Series{Z: "f", X: xs, Y: ys}, groupConfig{zNormalize: data[2]&1 == 0})
+		p, err := Compile(regexlang.MustParse(query), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Past the cap the tier declines, but the bound is still sound.
+		if tilingApplies(v, p.opts) != (n <= tilingMaxPoints) {
+			t.Fatalf("%q n=%d: tier applies = %v", query, n, !(n <= tilingMaxPoints))
+		}
+		ec := newEvalCtx()
+		exact, _, err := evalViz(ec, v, p.norm, p.opts, treeRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec.fillRangeAngles(v)
+		if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < exact-boundEps || tb < -1 {
+			t.Fatalf("%q frac=%v x=%v y=%v: tiling bound %.17g, exact score %.17g",
+				query, opts.MinSegmentFrac, xs, ys, tb, exact)
+		}
+	})
+}
+
+// randomWalk is a random-walk series of n points.
+func randomWalk(rng *rand.Rand, n int) dataset.Series {
+	ys := make([]float64, n)
+	for i := 1; i < n; i++ {
+		ys[i] = ys[i-1] + rng.NormFloat64()
+	}
+	return mkSeries("w", ys...)
+}
+
+// BenchmarkTilingBound sets tilingMaxPoints: per chart length and chain, it
+// times the tiling bound (range-angle table plus DP) against the exact
+// evaluation the bound may save, over random walks on one worker. The cap
+// is the longest chart where "bound" costs at most about half of "exact".
+func BenchmarkTilingBound(b *testing.B) {
+	for _, n := range []int{8, 12, 16, 20, 24, 28, 32, 40, 48, 64} {
+		for _, query := range []string{"u ; d", "u ; d ; u ; d", "u ; d ; u ; d ; u ; d"} {
+			p, err := Compile(regexlang.MustParse(query), seqOpts())
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			vizs := make([]*Viz, 64)
+			for i := range vizs {
+				vizs[i] = group(randomWalk(rng, n), groupConfig{zNormalize: true})
+			}
+			ec := newEvalCtx()
+			b.Run(fmt.Sprintf("n=%d/k=%d/bound", n, p.norm.MaxUnits()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					v := vizs[i%len(vizs)]
+					ec.fillRangeAngles(v)
+					tilingUpperBound(ec, v, p.norm, p.opts)
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/k=%d/exact", n, p.norm.MaxUnits()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := evalViz(ec, vizs[i%len(vizs)], p.norm, p.opts, treeRun); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -865,10 +866,20 @@ func downsample(x, y []float64, n int) ([]float64, []float64) {
 	return ox, oy
 }
 
+// writeJSON encodes v before it writes the status, so a reply JSON cannot
+// encode (a non-finite number, say) becomes a 500 with a JSON error instead
+// of an empty reply under code. The body keeps json.Encoder's trailing
+// newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding reply: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

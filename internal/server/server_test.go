@@ -230,6 +230,34 @@ func TestSearchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSearchNonFiniteReply: a dataset whose y holds Inf uploads, and a
+// search over it yields a reply JSON cannot encode. The reply must be a
+// 500 with a JSON error, not a 200 with an empty body.
+func TestSearchNonFiniteReply(t *testing.T) {
+	s := testServer(t)
+	csv := "z,x,y\na,0,0\na,1,Inf\na,2,0\nb,0,1\nb,1,3\nb,2,1\n"
+	req := httptest.NewRequest(http.MethodPost, "/api/datasets/inf", strings.NewReader(csv))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("upload status = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec = doJSON(t, s, http.MethodPost, "/api/search", searchRequest{
+		parseRequest: parseRequest{Kind: "regex", Query: "u ; d"},
+		Dataset:      "inf", Z: "z", X: "x", Y: "y",
+	})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500: %q", rec.Code, rec.Body.String())
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q is not a JSON error (%v)", rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+}
+
 func TestSearchNLQuery(t *testing.T) {
 	s := testServer(t)
 	req := searchRequest{
