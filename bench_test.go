@@ -1,8 +1,7 @@
-// Benchmarks mirroring every table and figure of the paper's evaluation
-// (see DESIGN.md §4 for the experiment index). Each benchmark exercises the
-// code path that regenerates the corresponding artifact on a reduced
-// workload; cmd/experiments runs the full-scale versions and prints the
-// tables themselves.
+// Benchmarks mirroring every table and figure of the paper's evaluation.
+// Each benchmark exercises the code path that regenerates the corresponding
+// artifact on a reduced workload; cmd/experiments runs the full-scale
+// versions and prints the tables themselves.
 package shapesearch_test
 
 import (
@@ -266,9 +265,8 @@ func BenchmarkSingleViz(b *testing.B) {
 }
 
 // BenchmarkAblation_MinSegmentFrac measures the cost/effect of the
-// perceptibility floor (DESIGN.md design decision: the floor plays the
-// paper's binning-width role; smaller floors mean finer SegmentTree leaves
-// and more DP candidates).
+// perceptibility floor (the floor plays the paper's binning-width role;
+// smaller floors mean finer SegmentTree leaves and more DP candidates).
 func BenchmarkAblation_MinSegmentFrac(b *testing.B) {
 	series := benchSeries(b, gen.Worms(), 16)
 	for _, frac := range []float64{0.01, 0.05, 0.10} {

@@ -3,7 +3,7 @@
 // benchmark line: name, package, iterations, ns/op, and the B/op and
 // allocs/op columns when -benchmem / b.ReportAllocs emitted them. With
 // -table it prints an aligned human-readable summary instead — CI runs it
-// both ways over the same raw stream, committing the JSON (BENCH_PR7.json)
+// both ways over the same raw stream, committing the JSON (BENCH_PR10.json)
 // and printing the table into the build log.
 package main
 

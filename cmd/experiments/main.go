@@ -5,8 +5,7 @@
 //	experiments -run fig10 -full
 //	experiments -run all            # quick mode by default
 //
-// Results print as markdown; redirect to a file to update EXPERIMENTS.md
-// measurements.
+// Results print as markdown tables.
 package main
 
 import (

@@ -216,20 +216,6 @@ func derefNamed(t types.Type) *types.Named {
 	}
 }
 
-// namedStructIn returns the named type's struct underlying, if the type is
-// declared in pkg; nil otherwise.
-func namedStructIn(t types.Type, pkg *types.Package) (*types.Named, *types.Struct) {
-	n := derefNamed(t)
-	if n == nil || n.Obj().Pkg() != pkg {
-		return nil, nil
-	}
-	s, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return n, s
-}
-
 // isPkgCall reports whether call invokes pkgPath.fn (e.g. "context",
 // "Background").
 func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, fn string) bool {

@@ -487,9 +487,10 @@ func (ce *chainEval) resolveRef(r shape.PosRef, t int) int {
 // evalQuantifier scores a quantified pattern over [i, j]: occurrences are
 // maximal runs of adjacent point pairs where the pattern scores above the
 // threshold, each run scored by its merged fit (Section 5.2 "scoring
-// quantifiers"; see DESIGN.md for the run-based counting rationale). Runs
-// narrower than the perceptibility floor (Options.MinSegmentFrac) do not
-// count as occurrences — a two-point noise wiggle is not a "rise".
+// quantifiers"). Counting runs rather than pairs makes one sustained rise
+// one occurrence, however many points it spans. Runs narrower than the
+// perceptibility floor (Options.MinSegmentFrac) do not count as
+// occurrences — a two-point noise wiggle is not a "rise".
 func (ce *chainEval) evalQuantifier(seg *shape.Segment, i, j int) float64 {
 	v := ce.viz
 	ctx := ce.ctx
@@ -565,7 +566,8 @@ func (ce *chainEval) evalNested(norm shape.Normalized, i, j int) float64 {
 // scoreRanges computes the final chain score for a chosen assignment of
 // inclusive point ranges to units, resolving POSITION references exactly:
 // unit slopes are fitted first, then every unit is re-scored with
-// references bound (Design decision 4 in DESIGN.md).
+// references bound — a reference may name a later unit, so every slope
+// must be known before any unit is scored.
 func (ce *chainEval) scoreRanges(ranges [][2]int) float64 {
 	slopes := grow(&ce.ctx.slopes, len(ce.units))
 	for t := range ce.units {

@@ -116,9 +116,6 @@ func (x *VizIndex) Update(vizs []*Viz, changed []int) *VizIndex {
 // on, since patched buckets lose clustering tightness over time.
 func (x *VizIndex) Staleness() int { return x.ix.Staleness() }
 
-// Vizs returns the indexed candidate slice (shared, read-only).
-func (x *VizIndex) Vizs() []*Viz { return x.vizs }
-
 // Len reports the number of indexed (non-nil) candidates.
 func (x *VizIndex) Len() int { return x.ix.Len() }
 

@@ -48,7 +48,7 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 		vizs := plans[0].GroupSeries(series)
 		ix := BuildVizIndex(vizs, shards)
 		for step := 0; step < 3; step++ {
-			next := append([]*Viz(nil), ix.Vizs()...)
+			next := append([]*Viz(nil), ix.vizs...)
 			var changed []int
 			gcfg := groupConfig{zNormalize: true}
 			for i := rng.Intn(6); i >= 0; i-- {
@@ -100,7 +100,7 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := scanPlan.RunGrouped(upd.Vizs())
+				want, err := scanPlan.RunGrouped(upd.vizs)
 				if err != nil {
 					t.Fatal(err)
 				}

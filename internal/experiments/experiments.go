@@ -2,8 +2,7 @@
 // ShapeSearch paper's evaluation (Sections 7.3 and 9) on the synthetic
 // dataset substitutes, plus the Section 4 CRF quality measurement. Each
 // experiment returns a renderable Table; cmd/experiments prints them and
-// bench_test.go wraps them as benchmarks. EXPERIMENTS.md records
-// paper-vs-measured values.
+// bench_test.go wraps them as benchmarks.
 package experiments
 
 import (

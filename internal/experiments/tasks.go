@@ -17,7 +17,7 @@ import (
 // task is one Table 10 pattern-matching task with programmatic ground
 // truth: the machine-measurable analog of the user-study tasks (the human
 // preference/usability numbers of Table 9 and Fig 9c cannot be reproduced
-// computationally; see EXPERIMENTS.md).
+// computationally).
 type task struct {
 	id, name  string
 	series    []dataset.Series
@@ -355,6 +355,6 @@ func Fig9b(cfg Config) Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper's Fig 9b measures human task completion time (ShapeSearch ~40% faster); the machine analog reported here is engine latency only",
-		"fig9c / Table 9 (user preferences) are human judgments with no machine analog — not reproduced; see EXPERIMENTS.md")
+		"fig9c / Table 9 (user preferences) are human judgments with no machine analog — not reproduced")
 	return t
 }

@@ -19,7 +19,7 @@ type LabeledQuery struct {
 // style of the paper's Mechanical Turk corpus: crowd-worker-like phrasings
 // of pattern sequences with varying noise words, connectives, modifiers,
 // locations, widths and quantifiers. It substitutes for the unavailable
-// 250-query MTurk dataset (see DESIGN.md §3); the paper's experiment needs
+// 250-query MTurk dataset; the paper's experiment needs
 // only the entity/noise structure, which these templates reproduce.
 func GenerateCorpus(n int, seed int64) []LabeledQuery {
 	rng := rand.New(rand.NewSource(seed))

@@ -28,12 +28,6 @@ const (
 	EntNoise   = "O"
 )
 
-// AllEntityLabels lists every label the taggers emit.
-func AllEntityLabels() []string {
-	return []string{EntPattern, EntMod, EntCount, EntXS, EntXE, EntYS, EntYE,
-		EntWidth, EntConcat, EntAnd, EntOr, EntNot, EntNoise}
-}
-
 // TaggedToken pairs a token with its POS tag and entity label — the
 // intermediate representation shown in the correction panel.
 type TaggedToken struct {

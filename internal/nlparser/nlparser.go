@@ -29,9 +29,6 @@ func NewParserWithModel(m *crf.Model) *Parser {
 	return &Parser{tagger: CRFTagger{Model: m}}
 }
 
-// NewParserWithTagger returns a parser with a custom tagger.
-func NewParserWithTagger(t Tagger) *Parser { return &Parser{tagger: t} }
-
 // Parse runs the full pipeline: tokenize → POS tag → entity tagging →
 // grouping into ShapeSegments → ambiguity resolution → tree generation.
 func (p *Parser) Parse(query string) (shape.Query, *ParseInfo, error) {

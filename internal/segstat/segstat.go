@@ -94,14 +94,6 @@ func (s Stats) Line() (slope, intercept float64, ok bool) {
 	return slope, (s.SumY - slope*s.SumX) / s.N, true
 }
 
-// MeanY returns the mean of the y values, or 0 for an empty segment.
-func (s Stats) MeanY() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.SumY / s.N
-}
-
 // FromPoints computes the summarized statistics of a point set directly.
 func FromPoints(xs, ys []float64) Stats {
 	var s Stats

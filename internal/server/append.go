@@ -62,8 +62,7 @@ func (s *Server) AppendRows(name string, delta *dataset.Table) (appended, total 
 // the cache lock; each entry is written back optimistically, so a search
 // that stored a fresh post-append build concurrently simply wins.
 func (s *Server) patchEntries(name string, version uint64, ix *dataset.Index, delta *dataset.Table) {
-	prefix := cacheKeyPrefix(name, version)
-	for _, snap := range s.cache.snapshotDataset(name, prefix) {
+	for _, snap := range s.cache.snapshot(cacheKeyPrefix(name, version)) {
 		// Optimistic-concurrency loop: if the write-back loses the entry
 		// generation race (a background index install or a concurrent fresh
 		// store landed first), re-read and re-apply. The patch recomputes
@@ -96,12 +95,12 @@ func (s *Server) patchEntries(name string, version uint64, ix *dataset.Index, de
 // (patched, removed, or untouched by the delta) and, when not, whether
 // re-reading the entry and retrying can help (the generation-guarded
 // write-back lost to a concurrent writer).
-func (s *Server) patchOne(snap entrySnapshot, ix *dataset.Index, delta *dataset.Table) (ok, retry bool) {
-	if !snap.cands.patchable || snap.cands.plan == nil {
+func (s *Server) patchOne(snap lruEntry[cachedCandidates], ix *dataset.Index, delta *dataset.Table) (ok, retry bool) {
+	if !snap.val.patchable || snap.val.plan == nil {
 		s.cache.remove(snap.key)
 		return true, false
 	}
-	espec, plan := snap.cands.espec, snap.cands.plan
+	espec, plan := snap.val.espec, snap.val.plan
 	touched, err := delta.DistinctValues(espec.Z)
 	if err != nil {
 		s.cache.remove(snap.key)
@@ -124,8 +123,8 @@ func (s *Server) patchOne(snap entrySnapshot, ix *dataset.Index, delta *dataset.
 		}
 	}
 
-	old := snap.cands.vizs
-	pos := snap.cands.zpos
+	old := snap.val.vizs
+	pos := snap.val.zpos
 	if pos == nil {
 		pos = buildZPos(old)
 	}
@@ -168,7 +167,7 @@ func (s *Server) patchOne(snap entrySnapshot, ix *dataset.Index, delta *dataset.
 		return true, false // the delta's rows are invisible to this entry's spec
 	}
 
-	cc := snap.cands
+	cc := snap.val
 	if needMerge {
 		touchedSet := make(map[string]bool, len(touched))
 		for _, z := range touched {
@@ -205,8 +204,8 @@ func (s *Server) patchOne(snap entrySnapshot, ix *dataset.Index, delta *dataset.
 		}
 		cc.vizs = newVizs
 		cc.zpos = pos
-		if snap.cands.index != nil {
-			cc.index = snap.cands.index.Update(newVizs, changed)
+		if snap.val.index != nil {
+			cc.index = snap.val.index.Update(newVizs, changed)
 		}
 	}
 	landed, gen := s.cache.replace(snap.key, snap.gen, cc)

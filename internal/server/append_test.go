@@ -198,14 +198,14 @@ func TestAppendNewGroups(t *testing.T) {
 // out of the candidate cache (version 1 = the first Register).
 func entryIndexStaleness(t *testing.T, s *Server) int {
 	t.Helper()
-	snaps := s.cache.snapshotDataset("ticks", cacheKeyPrefix("ticks", 1))
+	snaps := s.cache.snapshot(cacheKeyPrefix("ticks", 1))
 	if len(snaps) == 0 {
 		t.Fatal("no cached entry to inspect")
 	}
-	if snaps[0].cands.index == nil {
+	if snaps[0].val.index == nil {
 		t.Fatal("cached entry has no shape index")
 	}
-	return snaps[0].cands.index.Staleness()
+	return snaps[0].val.index.Staleness()
 }
 
 // TestAppendRebuildPolicy pins the staleness policy: under the default
@@ -336,7 +336,7 @@ func TestAppendEndpoint(t *testing.T) {
 // pre-append extraction could land after the patcher ran and serve stale
 // candidates forever.
 func TestFetchValidateAtStore(t *testing.T) {
-	c := newCandidateCache(4)
+	c := newLRU[cachedCandidates](4)
 	var valid atomic.Bool
 	valid.Store(true)
 	started := make(chan struct{})
@@ -344,7 +344,7 @@ func TestFetchValidateAtStore(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, err := c.fetch(context.Background(), "d", "k", 0, valid.Load, func() (cachedCandidates, error) {
+		_, _, err := c.fetch(context.Background(), "k", "0", valid.Load, func() (cachedCandidates, error) {
 			close(started)
 			<-release
 			return cachedCandidates{}, nil
@@ -369,13 +369,13 @@ func TestFetchValidateAtStore(t *testing.T) {
 // (higher delta version) must not join a flight led by a pre-append
 // request — the leader's extraction may predate the appended rows.
 func TestFetchFlightScopedByDeltaVersion(t *testing.T) {
-	c := newCandidateCache(4)
+	c := newLRU[cachedCandidates](4)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.fetch(context.Background(), "d", "k", 0,
+		c.fetch(context.Background(), "k", "0",
 			func() bool { return false }, // the append already invalidated this leader
 			func() (cachedCandidates, error) {
 				close(started)
@@ -385,7 +385,7 @@ func TestFetchFlightScopedByDeltaVersion(t *testing.T) {
 	}()
 	<-started
 	ran := false
-	cands, hit, err := c.fetch(context.Background(), "d", "k", 1, nil, func() (cachedCandidates, error) {
+	cands, hit, err := c.fetch(context.Background(), "k", "1", nil, func() (cachedCandidates, error) {
 		ran = true
 		return cachedCandidates{patchable: true}, nil
 	})
@@ -401,7 +401,7 @@ func TestFetchFlightScopedByDeltaVersion(t *testing.T) {
 	close(release)
 	<-done
 	// The stale leader must not have clobbered the post-append store.
-	got, hit, err := c.fetch(context.Background(), "d", "k", 1, nil, func() (cachedCandidates, error) {
+	got, hit, err := c.fetch(context.Background(), "k", "1", nil, func() (cachedCandidates, error) {
 		t.Fatal("unexpected rebuild: entry should be cached")
 		return cachedCandidates{}, nil
 	})

@@ -107,12 +107,12 @@ func TestSearchTimeoutReturns503(t *testing.T) {
 // in-flight extraction stops waiting when its own context expires — the
 // leader's build continues and still populates the cache.
 func TestCacheWaiterHonorsContext(t *testing.T) {
-	c := newCandidateCache(4)
+	c := newLRU[cachedCandidates](4)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.fetch(context.Background(), "d", "k", 0, nil, func() (cachedCandidates, error) {
+		_, _, err := c.fetch(context.Background(), "k", "0", nil, func() (cachedCandidates, error) {
 			close(started)
 			<-release
 			return cachedCandidates{}, nil
@@ -122,7 +122,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.fetch(ctx, "d", "k", 0, nil, func() (cachedCandidates, error) {
+	if _, _, err := c.fetch(ctx, "k", "0", nil, func() (cachedCandidates, error) {
 		t.Error("waiter must join the flight, not rebuild")
 		return cachedCandidates{}, nil
 	}); !errors.Is(err, context.Canceled) {
@@ -133,7 +133,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 		t.Fatalf("leader err = %v", err)
 	}
 	// The abandoned waiter must not have disturbed the stored entry.
-	if _, hit, err := c.fetch(context.Background(), "d", "k", 0, nil, func() (cachedCandidates, error) {
+	if _, hit, err := c.fetch(context.Background(), "k", "0", nil, func() (cachedCandidates, error) {
 		t.Error("entry should be cached")
 		return cachedCandidates{}, nil
 	}); err != nil || !hit {

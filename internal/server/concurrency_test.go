@@ -227,19 +227,19 @@ func TestCacheDistinctSpecs(t *testing.T) {
 // key is not wedged for every later request (waiters see an error, the
 // next caller rebuilds).
 func TestFetchPanicSafety(t *testing.T) {
-	c := newCandidateCache(4)
+	c := newLRU[cachedCandidates](4)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("build panic must propagate to the leader")
 			}
 		}()
-		c.fetch(context.Background(), "d", "k", 0, nil, func() (cachedCandidates, error) { panic("boom") })
+		c.fetch(context.Background(), "k", "0", nil, func() (cachedCandidates, error) { panic("boom") })
 	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		cands, hit, err := c.fetch(context.Background(), "d", "k", 0, nil, func() (cachedCandidates, error) {
+		cands, hit, err := c.fetch(context.Background(), "k", "0", nil, func() (cachedCandidates, error) {
 			return cachedCandidates{vizs: []*executor.Viz{}}, nil
 		})
 		if err != nil || hit || cands.vizs == nil {

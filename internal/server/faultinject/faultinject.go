@@ -8,7 +8,7 @@
 // Production cost is one atomic pointer load per hook point: with no hook
 // registered, Fire returns immediately. Hooks are process-global — tests
 // that register them must not run in parallel with each other and must
-// restore (or Reset) before finishing.
+// call Set's restore function before finishing.
 package faultinject
 
 import (
@@ -21,7 +21,7 @@ import (
 // in Fire; nil means no hook is active anywhere.
 var hooks atomic.Pointer[map[string]func()]
 
-// mu serializes writers (Set, restore, Reset). Readers never take it.
+// mu serializes writers (Set and its restore). Readers never take it.
 var mu sync.Mutex
 
 // Fire invokes the hook registered for point, if any. The hook runs on the
@@ -59,13 +59,6 @@ func Set(point string, fn func()) (restore func()) {
 			install(point, nil)
 		}
 	}
-}
-
-// Reset removes every registered hook.
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	hooks.Store(nil)
 }
 
 // install writes a copy of the current map with point set (or removed, for

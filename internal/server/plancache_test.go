@@ -1,14 +1,17 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"testing"
+	"time"
 
 	"shapesearch/internal/executor"
 	"shapesearch/internal/regexlang"
+	"shapesearch/internal/shape"
 )
 
 // TestSearchUsesPlanCache: repeated single-query searches compile once —
@@ -204,11 +207,11 @@ func TestSearchBatchErrors(t *testing.T) {
 // TestPlanCacheEviction: the LRU bound holds — overflow evicts the least
 // recently used entry, and evicted keys recompile on the next get.
 func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
+	c := newLRU[*executor.Plan](2)
 	compiles := 0
 	get := func(key string) {
 		t.Helper()
-		_, _, err := c.get(key, func() (*executor.Plan, error) {
+		_, _, err := c.fetch(context.Background(), key, "", nil, func() (*executor.Plan, error) {
 			compiles++
 			return executor.Compile(regexlang.MustParse("u"), executor.DefaultOptions())
 		})
@@ -234,7 +237,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	// Compile errors are returned but never cached.
 	wantErr := fmt.Errorf("boom")
 	for i := 0; i < 2; i++ {
-		_, _, err := c.get("bad", func() (*executor.Plan, error) { return nil, wantErr })
+		_, _, err := c.fetch(context.Background(), "bad", "", nil, func() (*executor.Plan, error) { return nil, wantErr })
 		if err != wantErr {
 			t.Fatalf("err = %v", err)
 		}
@@ -242,5 +245,53 @@ func TestPlanCacheEviction(t *testing.T) {
 	_, misses := c.stats()
 	if misses != 6 { // a, b, c, b again, bad twice
 		t.Fatalf("misses = %d, want 6", misses)
+	}
+}
+
+// TestPlanWaiterHonorsContext: a search coalesced onto another request's
+// in-flight compile stops waiting when its own deadline expires and gets
+// 503 (a deadline, not a bad query); the leader's compile still lands in
+// the plan cache.
+func TestPlanWaiterHonorsContext(t *testing.T) {
+	s := testServer(t)
+	q := regexlang.MustParse("u ; d")
+	norm, err := shape.Normalize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := executor.DefaultOptions()
+	opts.Pruning = false // what /api/search compiles for a request without pruning
+	key := planKey(norm.Fingerprint(), opts.Algorithm, opts.K, opts.Pruning)
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.plans.fetch(context.Background(), key, "", nil, func() (*executor.Plan, error) {
+			close(started)
+			<-release
+			return executor.Compile(q, opts)
+		})
+		leaderDone <- err
+	}()
+	<-started
+	req := searchRequest{
+		parseRequest: parseRequest{Kind: "regex", Query: "u ; d"},
+		Dataset:      "demo", Z: "z", X: "x", Y: "y",
+	}
+	s.SetSearchTimeout(20 * time.Millisecond)
+	if rec := doJSON(t, s, http.MethodPost, "/api/search", req); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("waiter past its deadline: status = %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader err = %v", err)
+	}
+	s.SetSearchTimeout(0)
+	rec := doJSON(t, s, http.MethodPost, "/api/search", req)
+	var resp searchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, err = %v: %s", rec.Code, err, rec.Body.String())
+	}
+	if !resp.Debug.PlanCache.Hit {
+		t.Fatal("the leader's compile was not cached")
 	}
 }

@@ -63,11 +63,11 @@ type Server struct {
 	rebuildWG sync.WaitGroup
 	nl        *nlparser.Parser
 	mux       *http.ServeMux
-	cache     *candidateCache
-	// plans caches compiled executor plans across requests, keyed by the
-	// normalized query fingerprint plus score-relevant options. Plans are
-	// dataset-independent and immutable, so the cache is never invalidated.
-	plans *planCache
+	// cache holds the grouped candidates per dataset version and visual
+	// parameters (cachedCandidates); plans holds compiled executor plans
+	// per query fingerprint and score-relevant options (planKey).
+	cache *lru[cachedCandidates]
+	plans *lru[*executor.Plan]
 	// adm is the bounded search queue in front of scoring (admission.go):
 	// it caps concurrent searches, queues arrivals FIFO per tenant with a
 	// queue-time budget, sheds the rest with 429 + Retry-After, and hands
@@ -105,7 +105,7 @@ type Option func(*Server)
 func WithCandidateCacheCapacity(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
-			s.cache = newCandidateCache(n)
+			s.cache = newLRU[cachedCandidates](n)
 		}
 	}
 }
@@ -115,7 +115,7 @@ func WithCandidateCacheCapacity(n int) Option {
 func WithPlanCacheCapacity(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
-			s.plans = newPlanCache(n)
+			s.plans = newLRU[*executor.Plan](n)
 		}
 	}
 }
@@ -192,8 +192,8 @@ func New(opts ...Option) *Server {
 		deltaVersions:    make(map[string]uint64),
 		rebuildThreshold: defaultRebuildThreshold,
 		nl:               nlparser.NewParser(),
-		cache:            newCandidateCache(defaultCacheCapacity),
-		plans:            newPlanCache(defaultPlanCacheCapacity),
+		cache:            newLRU[cachedCandidates](defaultCacheCapacity),
+		plans:            newLRU[*executor.Plan](defaultPlanCacheCapacity),
 		adm:              newAdmission(runtime.GOMAXPROCS(0)),
 		appendYieldMax:   defaultAppendYieldMax,
 		rebuildPauseMax:  defaultRebuildPauseMax,
@@ -227,11 +227,14 @@ func (s *Server) Register(name string, t *dataset.Table) {
 	s.indexes[name] = ix
 	s.versions[name]++
 	s.mu.Unlock()
-	s.cache.invalidateDataset(name)
+	// The version bump already makes stale entries unreachable; dropping
+	// them too returns the memory immediately.
+	s.cache.removePrefix(datasetKeyPrefix(name))
 }
 
 // DisableCache turns the candidate cache off (used by benchmarks to
-// measure the uncached serving path).
+// measure the uncached serving path): every search extracts and groups
+// afresh, without coalescing, and nothing is stored.
 func (s *Server) DisableCache() { s.cache.disable() }
 
 // SetSearchTimeout bounds the end-to-end time of each /api/search request
@@ -553,14 +556,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // compilePlan serves a compiled plan through the plan cache: the query is
 // normalized once to derive its fingerprint, and structurally identical
 // queries — however they were spelled, whatever front end parsed them —
-// share one compilation.
-func (s *Server) compilePlan(q shape.Query, opts executor.Options) (*executor.Plan, bool, error) {
+// share one compilation. A request coalesced onto another's compile waits
+// under its own ctx and gets ctx.Err() if that expires first.
+func (s *Server) compilePlan(ctx context.Context, q shape.Query, opts executor.Options) (*executor.Plan, bool, error) {
 	norm, err := shape.Normalize(q)
 	if err != nil {
 		return nil, false, err
 	}
 	key := planKey(norm.Fingerprint(), opts.Algorithm, opts.K, opts.Pruning)
-	return s.plans.get(key, func() (*executor.Plan, error) {
+	return s.plans.fetch(ctx, key, "", nil, func() (*executor.Plan, error) {
 		return executor.Compile(q, opts)
 	})
 }
@@ -598,7 +602,7 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 		s.mu.RUnlock()
 		return ok
 	}
-	cands, _, err := s.cache.fetch(ctx, ds, key, dv, validate, func() (cachedCandidates, error) {
+	cands, _, err := s.cache.fetch(ctx, key, strconv.FormatUint(dv, 10), validate, func() (cachedCandidates, error) {
 		faultinject.Fire("server.extract")
 		espec := plan.EffectiveSpec(spec)
 		series, err := ix.Extract(espec)
@@ -659,9 +663,14 @@ func (s *Server) searchBatch(ctx context.Context, w http.ResponseWriter, r *http
 			return
 		}
 		parses[i] = *presp
-		plan, hit, err := s.compilePlan(q, opts)
+		plan, hit, err := s.compilePlan(ctx, q, opts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, queryErr(i, err))
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				// Expired while coalesced onto another request's compile.
+				s.writeSearchErr(w, r, err)
+			} else {
+				writeError(w, http.StatusBadRequest, queryErr(i, err))
+			}
 			return
 		}
 		allHit = allHit && hit
@@ -857,9 +866,10 @@ func downsample(x, y []float64, n int) ([]float64, []float64) {
 	}
 	ox := make([]float64, 0, n)
 	oy := make([]float64, 0, n)
-	step := float64(len(x)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
-		j := int(float64(i) * step)
+		// Integer math: a float step rounds i*step one below the last
+		// index for some lengths, dropping the final point.
+		j := i * (len(x) - 1) / (n - 1)
 		ox = append(ox, x[j])
 		oy = append(oy, y[j])
 	}

@@ -353,4 +353,17 @@ func TestDownsample(t *testing.T) {
 		t.Fatal("short series should pass through")
 	}
 	_ = fmt.Sprintf("%v", dy)
+	// Both endpoints survive every thinning: a float step once rounded the
+	// last index one short (length 16 at n 12 ended at index 14).
+	for length := 3; length <= 300; length++ {
+		for n := 2; n < length; n++ {
+			dx, dy := downsample(x[:length], y[:length], n)
+			if len(dx) != n || len(dy) != n {
+				t.Fatalf("length %d, n %d: got %d points", length, n, len(dx))
+			}
+			if dx[0] != 0 || dx[n-1] != float64(length-1) || dy[n-1] != y[length-1] {
+				t.Fatalf("length %d, n %d: endpoints x %v..%v, want 0..%d", length, n, dx[0], dx[n-1], length-1)
+			}
+		}
+	}
 }

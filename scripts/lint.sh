@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # lint.sh — the pre-commit gate, mirroring CI's lint job:
 #   gofmt (no unformatted files), go vet, and shapelint (the repo's own
-#   invariant analyzers, run standalone over every package).
+#   invariant analyzers, run standalone over every package and again
+#   through go vet's -vettool protocol).
 # staticcheck and govulncheck run too when installed, and are skipped with a
 # note otherwise — CI installs them, local checkouts need not.
 #
@@ -28,6 +29,9 @@ tmpbin=$(mktemp -d)
 trap 'rm -rf "$tmpbin"' EXIT
 go build -o "$tmpbin/shapelint" ./cmd/shapelint
 "$tmpbin/shapelint" ./... || fail=1
+
+echo "== shapelint (go vet -vettool)"
+go vet -vettool="$tmpbin/shapelint" ./... || fail=1
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck"
