@@ -49,7 +49,7 @@ func runSearch(b *testing.B, series []dataset.Series, query string, opts executo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeriesContext(context.Background(), series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func BenchmarkFig11_Pushdown(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := executor.Search(ds.Table, ds.Spec, q, opts); err != nil {
+				if _, err := shapesearch.SearchContext(context.Background(), ds.Table, ds.Spec, q, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,11 +111,11 @@ func BenchmarkFig12_Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts(executor.AlgDP, false)
 		opts.K = 20
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeriesContext(context.Background(), series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 		opts.Algorithm = executor.AlgSegmentTree
-		if _, err := executor.SearchSeries(series, q, opts); err != nil {
+		if _, err := shapesearch.SearchSeriesContext(context.Background(), series, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func BenchmarkTable11_QueryVerification(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := executor.SearchSeries(series, q, opts)
+		res, err := shapesearch.SearchSeriesContext(context.Background(), series, q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,8 +323,8 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanReuse compares re-compiling per call (the SearchSeries
-// wrapper) against compiling once and reusing the plan — the repeated-query
+// BenchmarkPlanReuse compares re-compiling per call
+// (SearchSeriesContext) against compiling once and reusing the plan — the repeated-query
 // serving pattern.
 func BenchmarkPlanReuse(b *testing.B) {
 	series := benchSeries(b, gen.Weather(), 8)
@@ -333,7 +333,7 @@ func BenchmarkPlanReuse(b *testing.B) {
 	b.Run("Recompile", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := executor.SearchSeries(series, q, opts); err != nil {
+			if _, err := shapesearch.SearchSeriesContext(context.Background(), series, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -346,7 +346,7 @@ func BenchmarkPlanReuse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Run(series); err != nil {
+			if _, err := plan.RunContext(context.Background(), series); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -378,7 +378,7 @@ var batchQueryPool = []string{
 }
 
 // BenchmarkSearchBatch compares Q related queries executed as one
-// MultiPlan pass against Q sequential Plan.Search calls — the serving
+// MultiPlan pass against Q sequential Plan.SearchContext calls — the serving
 // comparison: sequential pays EXTRACT + GROUP + SEGMENT + SCORE per
 // query, the batch pays extraction and grouping once and shares
 // per-candidate segmentation state, memo entries and bound caches across
@@ -405,7 +405,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range plans {
-					if _, err := p.Search(ix, ds.Spec); err != nil {
+					if _, err := p.SearchContext(context.Background(), ix, ds.Spec); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -419,7 +419,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mp.Search(ix, ds.Spec); err != nil {
+				if _, err := mp.SearchContext(context.Background(), ix, ds.Spec); err != nil {
 					b.Fatal(err)
 				}
 			}

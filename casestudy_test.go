@@ -1,6 +1,7 @@
 package shapesearch_test
 
 import (
+	"context"
 	"testing"
 
 	"shapesearch"
@@ -18,7 +19,7 @@ func TestGenomicsCaseStudy(t *testing.T) {
 
 	topSet := func(q shapesearch.Query) map[string]int {
 		t.Helper()
-		res, err := shapesearch.Search(tbl, spec, q, opts)
+		res, err := shapesearch.SearchContext(context.Background(), tbl, spec, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestGenomicsCaseStudy(t *testing.T) {
 	// ~15 more genes with the same profile, so the robust check is score
 	// proximity to the best match, not exact rank among equals.
 	opts.K = 120
-	res, err := shapesearch.Search(tbl, spec, shapesearch.MustParseRegex("[p=45] ; [p=flat]"), opts)
+	res, err := shapesearch.SearchContext(context.Background(), tbl, spec, shapesearch.MustParseRegex("[p=45] ; [p=flat]"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestGenomicsCaseStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nlRes, err := shapesearch.Search(tbl, spec, q, opts)
+	nlRes, err := shapesearch.SearchContext(context.Background(), tbl, spec, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestBuiltinUDPLibrary(t *testing.T) {
 	opts.K = 5
 
 	// Recovery stocks fall then rise: the vshape UDP should surface them.
-	res, err := shapesearch.Search(tbl, spec, shapesearch.MustParseRegex("[p=vshape]"), opts)
+	res, err := shapesearch.SearchContext(context.Background(), tbl, spec, shapesearch.MustParseRegex("[p=vshape]"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestBuiltinUDPLibrary(t *testing.T) {
 	}
 
 	// Composition with the algebra: choppy but net rising.
-	res, err = shapesearch.Search(tbl, spec,
+	res, err = shapesearch.SearchContext(context.Background(), tbl, spec,
 		shapesearch.MustParseRegex("[p=volatile] & [p=up]"), opts)
 	if err != nil {
 		t.Fatal(err)

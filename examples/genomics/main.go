@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 
 func show(tbl *shapesearch.Table, spec shapesearch.ExtractSpec, q shapesearch.Query,
 	opts shapesearch.Options, label string) {
-	results, err := shapesearch.Search(tbl, spec, q, opts)
+	results, err := shapesearch.SearchContext(context.Background(), tbl, spec, q, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 
 func report(tbl *shapesearch.Table, spec shapesearch.ExtractSpec, q shapesearch.Query,
 	opts shapesearch.Options, label string) {
-	results, err := shapesearch.Search(tbl, spec, q, opts)
+	results, err := shapesearch.SearchContext(context.Background(), tbl, spec, q, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

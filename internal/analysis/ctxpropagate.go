@@ -19,7 +19,8 @@ import (
 //     migration, and this codebase finished it in PR 3.
 //  2. context.Background() is allowed only as an argument of a call to
 //     FooContext made from inside Foo itself (the documented wrapper
-//     pattern: Run → RunContext, Search → SearchContext, ...). Anywhere
+//     pattern: RunGrouped → RunGroupedContext, BuildVizIndex →
+//     BuildVizIndexContext). Anywhere
 //     else it severs an entrypoint from its caller's cancellation — the
 //     exact bug class of the BuildVizIndex summary pass.
 //  3. Passing a nil context is an error; use the non-Context wrapper or

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,7 +11,7 @@ import (
 // randomDelta draws an append batch over randomTable's schema: z values
 // overlap the base's range but reach past it (new groups get fresh
 // dictionary codes), x values land anywhere on the grid (out-of-order
-// arrivals relative to the base), and NaNs appear in both x and y.
+// arrivals relative to the base), and NaN and ±Inf appear in both x and y.
 func randomDelta(rng *rand.Rand, rows int) *Table {
 	zs := make([]string, rows)
 	zf := make([]float64, rows)
@@ -25,11 +24,11 @@ func randomDelta(rng *rand.Rand, rows int) *Table {
 		zf[i] = float64(rng.Intn(9)) / 2
 		xs[i] = float64(rng.Intn(24))
 		if rng.Intn(25) == 0 {
-			xs[i] = math.NaN()
+			xs[i] = nonFinite(rng)
 		}
 		ys[i] = rng.NormFloat64() * 10
 		if rng.Intn(25) == 0 {
-			ys[i] = math.NaN()
+			ys[i] = nonFinite(rng)
 		}
 		fnum[i] = float64(rng.Intn(10))
 		fstr[i] = string(rune('a' + rng.Intn(4)))
@@ -53,7 +52,7 @@ func randomDelta(rng *rand.Rand, rows int) *Table {
 func inOrderDelta(rng *rand.Rand, rows int, xBase float64) *Table {
 	d := randomDelta(rng, rows)
 	for i := range d.cols[2].Floats {
-		if !math.IsNaN(d.cols[2].Floats[i]) {
+		if finite(d.cols[2].Floats[i]) {
 			d.cols[2].Floats[i] = xBase + float64(i)
 		}
 	}

@@ -265,6 +265,11 @@ func (s *Series) Len() int { return len(s.X) }
 
 // ExtractSpec is the input to Extract: the visual parameters R of the paper
 // (z, x, y attributes), filters f, and aggregation a.
+//
+// Non-finite values: a row whose x or y is NaN, +Inf or −Inf is dropped
+// from every series, by both Source implementations, before aggregation.
+// Tables still store such values (a CSV with "Inf" loads), but no series
+// carries one, so no score, bound or reply downstream sees one.
 type ExtractSpec struct {
 	Z, X, Y string
 	Filters []Filter
@@ -286,6 +291,10 @@ type Source interface {
 	// z value, sorted on z then x.
 	Extract(spec ExtractSpec) ([]Series, error)
 }
+
+// finite reports whether v is neither NaN nor ±Inf: the values a series
+// may carry (see ExtractSpec).
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Table returns the table itself, making *Table a Source.
 func (t *Table) Table() *Table { return t }
@@ -353,7 +362,7 @@ rows:
 			continue
 		}
 		y := yc.Floats[i]
-		if math.IsNaN(x) || math.IsNaN(y) {
+		if !finite(x) || !finite(y) {
 			continue
 		}
 		z := zc.ValueString(i)

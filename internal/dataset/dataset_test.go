@@ -194,21 +194,26 @@ func TestExtractNumericZ(t *testing.T) {
 	}
 }
 
+// TestExtractSkipsNaN: rows whose x or y is NaN or ±Inf are dropped, by
+// the row path and by the index alike.
 func TestExtractSkipsNaN(t *testing.T) {
+	inf := math.Inf(1)
 	tbl, err := New(
-		strCol("z", "a", "a", "a"),
-		floatCol("x", 1, 2, 3),
-		floatCol("y", 1, math.NaN(), 3),
+		strCol("z", "a", "a", "a", "a", "a", "a", "a"),
+		floatCol("x", 1, 2, 3, 4, 5, inf, -inf),
+		floatCol("y", 1, math.NaN(), 3, inf, -inf, 6, 7),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := Extract(tbl, ExtractSpec{Z: "z", X: "x", Y: "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series[0].Len() != 2 {
-		t.Fatalf("NaN row should be dropped: %+v", series[0])
+	for _, src := range []Source{tbl, BuildIndex(tbl)} {
+		series, err := src.Extract(ExtractSpec{Z: "z", X: "x", Y: "y"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := series[0]; s.Len() != 2 || s.X[0] != 1 || s.X[1] != 3 {
+			t.Fatalf("%T: non-finite rows should be dropped: %+v", src, s)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -229,8 +228,8 @@ func (ix *Index) perm(zi, xi int) *zxPerm {
 	return lp.p
 }
 
-// buildPerm buckets row ids by z code, dropping NaN-x rows (they can never
-// appear in a series for this x attribute), and sorts each group by
+// buildPerm buckets row ids by z code, dropping non-finite-x rows (they can
+// never appear in a series for this x attribute), and sorts each group by
 // (x, row).
 func (ix *Index) buildPerm(zi, xi int) *zxPerm {
 	enc := ix.encoding(zi)
@@ -238,7 +237,7 @@ func (ix *Index) buildPerm(zi, xi int) *zxPerm {
 	codes := enc.codes
 	p := &zxPerm{groups: make([]*zrows, len(enc.dict))}
 	for i := 0; i < ix.t.rows; i++ {
-		if math.IsNaN(xs[i]) {
+		if !finite(xs[i]) {
 			continue
 		}
 		g := p.groups[codes[i]]
@@ -282,7 +281,7 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 	var touched []uint32
 	tails := make(map[uint32][]int32)
 	for i := base; i < total; i++ {
-		if math.IsNaN(xs[i]) {
+		if !finite(xs[i]) {
 			continue
 		}
 		c := enc.codes[i]
@@ -500,7 +499,7 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 
 // extractGroup renders one z group's Series from its sorted row list; both
 // extraction entry points share it so their output stays bit-identical.
-// ok=false when filters, windows and NaNs leave no points.
+// ok=false when filters, windows and non-finite values leave no points.
 func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts []point) ([]point, Series, bool, error) {
 	pts = pts[:0]
 	appendRange := func(start, end int) {
@@ -510,7 +509,7 @@ func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts
 				continue
 			}
 			y := st.ys[row]
-			if math.IsNaN(y) {
+			if !finite(y) {
 				continue
 			}
 			pts = append(pts, point{st.xs[row], y})

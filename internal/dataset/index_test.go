@@ -35,8 +35,14 @@ func assertSeriesIdentical(t *testing.T, legacy, indexed []Series) {
 	}
 }
 
+// nonFinite draws NaN, +Inf or −Inf: the values extraction drops.
+func nonFinite(rng *rand.Rand) float64 {
+	return [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+}
+
 // randomTable builds a table with a string z, a float z, an x with
-// duplicates and NaNs, a y with NaNs, and float/string filter columns.
+// duplicates and non-finite values, a y with non-finite values, and
+// float/string filter columns.
 func randomTable(rng *rand.Rand) *Table {
 	rows := rng.Intn(120)
 	zs := make([]string, rows)
@@ -51,11 +57,11 @@ func randomTable(rng *rand.Rand) *Table {
 		// Duplicate-heavy x grid so aggregation paths are exercised.
 		xs[i] = float64(rng.Intn(20))
 		if rng.Intn(25) == 0 {
-			xs[i] = math.NaN()
+			xs[i] = nonFinite(rng)
 		}
 		ys[i] = rng.NormFloat64() * 10
 		if rng.Intn(25) == 0 {
-			ys[i] = math.NaN()
+			ys[i] = nonFinite(rng)
 		}
 		fnum[i] = float64(rng.Intn(10))
 		fstr[i] = string(rune('a' + rng.Intn(4)))

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -120,11 +121,11 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			vizs := plans[0].GroupSeries(series)
-			if _, err := mp.RunGrouped(vizs); err != nil {
+			if _, err := mp.RunGroupedContext(context.Background(), vizs); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(5, func() {
-				if _, err := mp.RunGrouped(vizs); err != nil {
+				if _, err := mp.RunGroupedContext(context.Background(), vizs); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -183,14 +184,8 @@ func TestPooledKernelMatchesFreshContexts(t *testing.T) {
 			// candidate, so no buffer ever carries state across candidates.
 			reused := newEvalCtx()
 			for vi, v := range vizs {
-				pooledSc, pooledRanges, err := evalViz(reused, v, plan.norm, plan.opts, plan.solver)
-				if err != nil {
-					t.Fatal(err)
-				}
-				freshSc, freshRanges, err := evalViz(newEvalCtx(), v, plan.norm, plan.opts, plan.solver)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pooledSc, pooledRanges := evalViz(reused, v, plan.norm, plan.opts, plan.solver)
+				freshSc, freshRanges := evalViz(newEvalCtx(), v, plan.norm, plan.opts, plan.solver)
 				if pooledSc != freshSc {
 					t.Fatalf("%s/%v viz %d: pooled score %v != fresh score %v", q, alg, vi, pooledSc, freshSc)
 				}

@@ -108,11 +108,11 @@ func TestDistanceBaselineParallelMatchesSequential(t *testing.T) {
 		seq.Parallelism = 1
 		par := seq
 		par.Parallelism = 4
-		want, err := SearchSeries(series, regexlang.MustParse("u ; d"), seq)
+		want, err := searchSeries(series, regexlang.MustParse("u ; d"), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SearchSeries(series, regexlang.MustParse("u ; d"), par)
+		got, err := searchSeries(series, regexlang.MustParse("u ; d"), par)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,10 +52,7 @@ func solveBest(t *testing.T, v *Viz, q shape.Query, solver runSolver, opts *Opti
 	}
 	best := math.Inf(-1)
 	for _, alt := range norm.Alternatives {
-		ce, err := compileChain(v, alt, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ce := compileChain(v, alt, opts)
 		if r := solveChain(ce, solver); r.score > best {
 			best = r.score
 		}
@@ -160,10 +157,7 @@ func TestSegmentTreeSharedUnitMerge(t *testing.T) {
 	v := group(s, groupConfig{zNormalize: true})
 	q := regexlang.MustParse("u ; d")
 	norm, _ := shape.Normalize(q)
-	ce, err := compileChain(v, norm.Alternatives[0], o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := compileChain(v, norm.Alternatives[0], o)
 	res := solveChain(ce, treeRun)
 	if res.score < 0.5 {
 		t.Fatalf("score = %v", res.score)
@@ -219,11 +213,11 @@ func TestPruningPreservesTopK(t *testing.T) {
 	pruned.Pruning = true
 
 	q := regexlang.MustParse("u ; d")
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SearchSeries(series, q, pruned)
+	got, err := searchSeries(series, q, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +259,7 @@ func TestDPStrideCoarsening(t *testing.T) {
 		q := regexlang.MustParse("u ; d ; u")
 		norm, _ := shape.Normalize(q)
 		o := seqOpts().normalized()
-		ce, err := compileChain(v, norm.Alternatives[0], o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ce := compileChain(v, norm.Alternatives[0], o)
 		fine := dpRunStride(ce, 0, len(ce.units)-1, 0, v.N()-1, 1)
 		coarse := dpRunStride(ce, 0, len(ce.units)-1, 0, v.N()-1, 8)
 		if coarse.score > fine.score+1e-9 {
@@ -287,10 +278,7 @@ func TestChainScoreConsistency(t *testing.T) {
 		q := regexlang.MustParse("u ; d ; f")
 		norm, _ := shape.Normalize(q)
 		for _, solver := range []runSolver{dpRun, treeRun, greedyRun} {
-			ce, err := compileChain(v, norm.Alternatives[0], o)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ce := compileChain(v, norm.Alternatives[0], o)
 			res := solveChain(ce, solver)
 			re := ce.scoreRanges(res.ranges)
 			if math.Abs(res.score-re) > 1e-9 {

@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"fmt"
 	"math"
 
 	"shapesearch/internal/score"
@@ -46,10 +45,6 @@ type compiledUnit struct {
 	// the side is free. pinErr marks pins that fall outside the data.
 	pinStart, pinEnd int
 	pinErr           bool
-	// nested holds pre-normalized sub-queries of PatNested segments,
-	// keyed by the sub-query root (stable across the segment copies the
-	// iterator path makes), compiled once per chain.
-	nested map[*shape.Node]shape.Normalized
 }
 
 func (u *compiledUnit) pinned() bool { return u.pinStart >= 0 && u.pinEnd >= 0 }
@@ -57,25 +52,25 @@ func (u *compiledUnit) pinned() bool { return u.pinStart >= 0 && u.pinEnd >= 0 }
 // compileChain prepares a chain for evaluation against a visualization in a
 // fresh evaluation context. The pipeline workers call (*evalCtx).compile
 // instead, which reuses one context's buffers across candidates.
-func compileChain(v *Viz, chain shape.Chain, opts *Options) (*chainEval, error) {
+func compileChain(v *Viz, chain shape.Chain, opts *Options) *chainEval {
 	return newEvalCtx().compile(v, chain, opts)
 }
 
 // compile prepares a chain for evaluation against a visualization, reusing
 // the context's chainEval and unit buffer. Viz-derived quantities (y range,
-// amplitude unit, skipped-point prefix) come memoized from the Viz, and for
-// options that went through executor.Compile the per-unit validation walk
-// is skipped entirely — UDP resolution, nested sub-query normalization, and
-// iterator/sketch hoisting already happened once at plan compile time.
-func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) (*chainEval, error) {
+// amplitude unit, skipped-point prefix) come memoized from the Viz; UDP
+// resolution, nested sub-query normalization, and iterator/sketch hoisting
+// already happened once at plan compile time, so nothing here can fail.
+func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) *chainEval {
 	return ec.compileAlt(v, chain, opts, nil)
 }
 
 // compileAlt is compile with the alternative's plan-compiled metadata: the
 // pinned x endpoints hoisted out of the per-candidate path (no per-unit
 // tree walks) and the signature ids that key the unit-score memo. A nil
-// altMeta falls back to walking the units, with memoization off.
-func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altMeta) (*chainEval, error) {
+// altMeta — the naive loop, and nested sub-query chains — falls back to
+// walking the units, with memoization off.
+func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altMeta) *chainEval {
 	ce := &ec.ce
 	*ce = chainEval{ctx: ec, viz: v, chain: chain, opts: opts}
 	n := v.N()
@@ -118,50 +113,10 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 		if cu.pinStart >= 0 && cu.pinEnd >= 0 && cu.pinEnd <= cu.pinStart {
 			cu.pinErr = true
 		}
-		if !opts.compiled {
-			if err := validateUnit(&cu, u, opts); err != nil {
-				return nil, err
-			}
-		}
 		ec.units = append(ec.units, cu)
 	}
 	ce.units = ec.units
-	return ce, nil
-}
-
-// validateUnit is the per-unit walk for chains compiled outside a Plan
-// (direct compileChain construction in tests, dynamically built queries):
-// UDP references are resolved and nested sub-queries normalized, once per
-// chain. Plan-compiled options skip this — Compile did it once for all.
-func validateUnit(cu *compiledUnit, u shape.Unit, opts *Options) error {
-	var compileErr error
-	u.Node.Walk(func(m *shape.Node) {
-		if compileErr != nil || m.Kind != shape.NodeSegment {
-			return
-		}
-		seg := m.Seg
-		if seg.Pat.Kind == shape.PatUDP {
-			if _, ok := opts.UDPs.Lookup(seg.Pat.Name); !ok {
-				compileErr = fmt.Errorf("executor: unknown user-defined pattern %q", seg.Pat.Name)
-			}
-		}
-		if seg.Pat.Kind == shape.PatNested {
-			norm, ok := opts.nestedPre[seg.Pat.Sub]
-			if !ok {
-				var err error
-				norm, err = shape.Normalize(shape.Query{Root: seg.Pat.Sub})
-				if err != nil {
-					compileErr = err
-					return
-				}
-			}
-			if cu.nested == nil {
-				cu.nested = make(map[*shape.Node]shape.Normalized)
-			}
-			cu.nested[seg.Pat.Sub] = norm
-		}
-	})
-	return compileErr
+	return ce
 }
 
 // anySkipped reports whether inclusive point range [i, j] touches a point
@@ -242,17 +197,17 @@ func (ce *chainEval) unitScoreSlow(t, i, j int) float64 {
 	if ce.anySkipped(i, j) {
 		return score.WorstScore
 	}
-	return ce.evalNode(cu, cu.unit.Node, t, i, j)
+	return ce.evalNode(cu.unit.Node, t, i, j)
 }
 
-func (ce *chainEval) evalNode(cu *compiledUnit, n *shape.Node, t, i, j int) float64 {
+func (ce *chainEval) evalNode(n *shape.Node, t, i, j int) float64 {
 	switch n.Kind {
 	case shape.NodeSegment:
-		return ce.evalSegment(cu, n, t, i, j)
+		return ce.evalSegment(n, t, i, j)
 	case shape.NodeAnd:
 		s := score.BestScore
 		for _, c := range n.Children {
-			if v := ce.evalNode(cu, c, t, i, j); v < s {
+			if v := ce.evalNode(c, t, i, j); v < s {
 				s = v
 			}
 		}
@@ -260,13 +215,13 @@ func (ce *chainEval) evalNode(cu *compiledUnit, n *shape.Node, t, i, j int) floa
 	case shape.NodeOr:
 		s := score.WorstScore
 		for _, c := range n.Children {
-			if v := ce.evalNode(cu, c, t, i, j); v > s {
+			if v := ce.evalNode(c, t, i, j); v > s {
 				s = v
 			}
 		}
 		return s
 	case shape.NodeNot:
-		return -ce.evalNode(cu, n.Children[0], t, i, j)
+		return -ce.evalNode(n.Children[0], t, i, j)
 	default:
 		return score.WorstScore
 	}
@@ -275,13 +230,13 @@ func (ce *chainEval) evalNode(cu *compiledUnit, n *shape.Node, t, i, j int) floa
 // evalSegment scores one ShapeSegment over [i, j] (Section 5.2): the
 // LOCATION/MODIFIER satisfaction part first (worst score on violation),
 // then the PATTERN similarity part.
-func (ce *chainEval) evalSegment(cu *compiledUnit, n *shape.Node, t, i, j int) float64 {
+func (ce *chainEval) evalSegment(n *shape.Node, t, i, j int) float64 {
 	seg := n.Seg
 	v := ce.viz
 
 	// ITERATOR: scan fixed-width windows inside [i, j] and keep the best.
 	if seg.Loc.HasIterator() {
-		return ce.evalIterator(cu, n, t, i, j)
+		return ce.evalIterator(n, t, i, j)
 	}
 
 	// LOCATION satisfaction. Pinned x endpoints must coincide with the
@@ -314,22 +269,12 @@ func (ce *chainEval) evalSegment(cu *compiledUnit, n *shape.Node, t, i, j int) f
 		}
 	}
 	if seg.Pat.Kind != shape.PatNone {
-		consider(ce.evalPattern(cu, n, t, i, j))
+		consider(ce.evalPattern(n, t, i, j))
 	}
 	if len(seg.Sketch) > 0 {
 		// The query-y values are query-static; Compile hoists them per
-		// segment node. Nodes it has not seen (copied or dynamically built
-		// segments) fill a context scratch buffer instead.
-		qy := ce.opts.sketchQY[n]
-		if qy == nil {
-			buf := ce.ctx.qyBuf[:0]
-			for _, pt := range seg.Sketch {
-				buf = append(buf, pt.Y)
-			}
-			ce.ctx.qyBuf = buf
-			qy = buf
-		}
-		consider(ce.opts.SketchConfig.SketchL2(qy, v.Series.Y[i:j+1]))
+		// segment node.
+		consider(ce.opts.SketchConfig.SketchL2(ce.opts.sketchQY[n], v.Series.Y[i:j+1]))
 	}
 	if seg.Pat.Kind == shape.PatNone && hasYPins {
 		// Anchor-line similarity: how closely the trend follows the line
@@ -357,18 +302,13 @@ func (ce *chainEval) evalSegment(cu *compiledUnit, n *shape.Node, t, i, j int) f
 // evalIterator implements the ITERATOR sub-primitive: [x.s=., x.e=.+w, ...]
 // slides a window of domain-width w across [i, j], scoring the rest of the
 // segment over each window and keeping the maximum.
-func (ce *chainEval) evalIterator(cu *compiledUnit, n *shape.Node, t, i, j int) float64 {
+func (ce *chainEval) evalIterator(n *shape.Node, t, i, j int) float64 {
 	seg := n.Seg
 	v := ce.viz
 	w := seg.Loc.XE.IterOffset
 	// Compile hoists the iterator's inner segment node (LOCATION reduced to
-	// the y pins) once per plan; nodes it has not seen build it here.
+	// the y pins) once per plan.
 	innerNode := ce.opts.iterInner[n]
-	if innerNode == nil {
-		inner := *seg
-		inner.Loc = shape.Location{YS: seg.Loc.YS, YE: seg.Loc.YE}
-		innerNode = &shape.Node{Kind: shape.NodeSegment, Seg: &inner}
-	}
 	best := score.WorstScore
 	for s := i; s < j; s++ {
 		endX := v.Series.X[s] + w
@@ -382,7 +322,7 @@ func (ce *chainEval) evalIterator(cu *compiledUnit, n *shape.Node, t, i, j int) 
 		if e <= s {
 			continue
 		}
-		if sc := ce.evalSegment(cu, innerNode, t, s, e); sc > best {
+		if sc := ce.evalSegment(innerNode, t, s, e); sc > best {
 			best = sc
 		}
 	}
@@ -390,7 +330,7 @@ func (ce *chainEval) evalIterator(cu *compiledUnit, n *shape.Node, t, i, j int) 
 }
 
 // evalPattern scores the PATTERN primitive of a segment over [i, j].
-func (ce *chainEval) evalPattern(cu *compiledUnit, n *shape.Node, t, i, j int) float64 {
+func (ce *chainEval) evalPattern(n *shape.Node, t, i, j int) float64 {
 	seg := n.Seg
 	v := ce.viz
 	switch seg.Pat.Kind {
@@ -448,25 +388,8 @@ func (ce *chainEval) evalPattern(cu *compiledUnit, n *shape.Node, t, i, j int) f
 		}
 		return score.Clamp(fn(v.Series.X[i:j+1], v.Series.Y[i:j+1]))
 	case shape.PatNested:
-		norm, ok := cu.nested[seg.Pat.Sub]
-		if !ok {
-			// Plan-compiled sub-queries were normalized once at Compile.
-			norm, ok = ce.opts.nestedPre[seg.Pat.Sub]
-		}
-		if !ok {
-			// Nested sub-queries reached through copied segments (e.g.
-			// built by UDFs at evaluation time) normalize lazily.
-			lazy, err := shape.Normalize(shape.Query{Root: seg.Pat.Sub})
-			if err != nil {
-				return score.WorstScore
-			}
-			if cu.nested == nil {
-				cu.nested = make(map[*shape.Node]shape.Normalized)
-			}
-			cu.nested[seg.Pat.Sub] = lazy
-			norm = lazy
-		}
-		return ce.evalNested(norm, i, j)
+		// Sub-queries were normalized once at Compile.
+		return ce.evalNested(ce.opts.nestedPre[seg.Pat.Sub], i, j)
 	default:
 		return score.WorstScore
 	}
@@ -545,10 +468,7 @@ func (ce *chainEval) evalNested(norm shape.Normalized, i, j int) float64 {
 	child := ce.ctx.childCtx()
 	best := score.WorstScore
 	for _, alt := range norm.Alternatives {
-		sub, err := child.compile(ce.viz, alt, ce.opts)
-		if err != nil {
-			continue
-		}
+		sub := child.compile(ce.viz, alt, ce.opts)
 		sub.skippedPrefix = ce.skippedPrefix
 		// Coarse candidate grid keeps nested evaluation near-linear.
 		stride := (j - i) / 32

@@ -25,10 +25,6 @@ type evalCtx struct {
 	// units backs ce.units, truncated and refilled per compile.
 	units []compiledUnit
 
-	// qyBuf holds sketch query-y values for segments not hoisted at plan
-	// compile time (dynamically built or copied nodes).
-	qyBuf []float64
-
 	// DP scratch (dpRunStride): flat (k+1)×m tables.
 	dpBest []float64
 	dpFrom []int

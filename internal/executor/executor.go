@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -106,27 +105,26 @@ type Options struct {
 	// caller knows bound separation is poor.
 	DisableAutoIndex bool
 
+	// The fields below are filled by Compile, the only way options reach
+	// evaluation, and are read-only after it. Compile's worklist walks every
+	// node evaluation can reach, nested sub-queries included, so evaluation
+	// reads them without a fallback.
+	//
 	// nestedPre holds nested sub-queries pre-normalized at Compile time,
-	// keyed by sub-query root. Read-only after Compile; chain compilation
-	// consults it before normalizing lazily.
+	// keyed by sub-query root.
 	nestedPre map[*shape.Node]shape.Normalized
 	// iterInner holds, per ITERATOR segment node, the pre-built inner
 	// segment node the sliding window evaluates (LOCATION reduced to the y
-	// pins) — hoisted out of the per-range hot path. Read-only after
-	// Compile.
+	// pins) — hoisted out of the per-range hot path.
 	iterInner map[*shape.Node]*shape.Node
 	// sketchQY holds, per sketch segment node, the query's y values —
-	// query-static, hoisted out of evalSegment. Read-only after Compile.
+	// query-static, hoisted out of evalSegment.
 	sketchQY map[*shape.Node][]float64
-	// compiled marks options that went through Compile: per-viz chain
-	// compilation skips the validation walk (UDP resolution and nested
-	// normalization already ran once, plan-wide).
-	compiled bool
 	// chainMeta is the plan-wide alternative analysis (interned unit
 	// signatures, hoisted pins, k-grouped order, bound groups) driving
-	// shared-segmentation evaluation; nil for options built outside Compile,
-	// which fall back to the naive per-alternative loop. Read-only after
-	// Compile.
+	// shared-segmentation evaluation. A nil chainMeta selects the naive
+	// per-alternative loop, the reference the property tests compare
+	// shared evaluation against.
 	chainMeta *chainMeta
 	// pruneThresholdBias artificially inflates the stage-2 pruning
 	// threshold. Test-only: it forces over-pruning so the deferred
@@ -190,47 +188,6 @@ type Result struct {
 	Series dataset.Series
 }
 
-// Search extracts candidate visualizations from a data source (a bare
-// *dataset.Table or a *dataset.Index) per the visual parameters and ranks
-// them against the query: the full EXTRACT → GROUP → SEGMENT → SCORE
-// pipeline. For non-fuzzy queries with push-down enabled, LOCATION windows
-// are pushed into EXTRACT so rows outside every referenced x range are
-// never materialized (Section 5.4 (a)/(c); the paper re-adds the ignored
-// ranges only when plotting the top-k).
-//
-// Search is a thin compatibility wrapper over Compile + Plan.Search;
-// callers issuing the same query repeatedly should compile once and reuse
-// the plan.
-func Search(src dataset.Source, spec dataset.ExtractSpec, q shape.Query, opts Options) ([]Result, error) {
-	return SearchContext(context.Background(), src, spec, q, opts)
-}
-
-// SearchContext is Search with cooperative cancellation: the worker pool
-// checks ctx between candidates and the call returns ctx.Err() once every
-// worker has stopped.
-func SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec, q shape.Query, opts Options) ([]Result, error) {
-	p, err := Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.SearchContext(ctx, src, spec)
-}
-
-// SearchSeries ranks pre-extracted series against the query. It is a thin
-// compatibility wrapper over Compile + Plan.Run.
-func SearchSeries(series []dataset.Series, q shape.Query, opts Options) ([]Result, error) {
-	return SearchSeriesContext(context.Background(), series, q, opts)
-}
-
-// SearchSeriesContext is SearchSeries with cooperative cancellation.
-func SearchSeriesContext(ctx context.Context, series []dataset.Series, q shape.Query, opts Options) ([]Result, error) {
-	p, err := Compile(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, series)
-}
-
 // solver picks the runSolver for the configured algorithm.
 func (o *Options) solver(norm shape.Normalized) (runSolver, error) {
 	switch o.Algorithm {
@@ -262,7 +219,7 @@ func (o *Options) solver(norm shape.Normalized) (runSolver, error) {
 // resolve to the earliest in declaration order, so the result is
 // byte-identical to the naive per-alternative loop (the meta-nil path,
 // pinned by TestSharedEvalMatchesNaive).
-func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver) (float64, [][2]int, error) {
+func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver) (float64, [][2]int) {
 	return evalVizShared(ec, v, norm, o, solve, true)
 }
 
@@ -272,23 +229,19 @@ func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSo
 // queries of the same candidate share every (signature, range) score and
 // every range fit already computed — signature ids are batch-global, so
 // shared entries are exact for every query.
-func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int, error) {
+func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int) {
 	meta := o.chainMeta
 	best := math.Inf(-1)
 	var bestRanges [][2]int
 	if meta == nil {
 		for _, alt := range norm.Alternatives {
-			ce, err := ec.compile(v, alt, o)
-			if err != nil {
-				return 0, nil, err
-			}
-			res := solveChain(ce, solve)
+			res := solveChain(ec.compile(v, alt, o), solve)
 			if res.score > best {
 				best = res.score
 				bestRanges = append(bestRanges[:0], res.ranges...)
 			}
 		}
-		return best, bestRanges, nil
+		return best, bestRanges
 	}
 	memoOK := meta.memoUsable(v.N())
 	if memoOK && resetMemo {
@@ -297,10 +250,7 @@ func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve
 	}
 	bestAi := -1
 	for _, ai := range meta.order {
-		ce, err := ec.compileAlt(v, norm.Alternatives[ai], o, &meta.alts[ai])
-		if err != nil {
-			return 0, nil, err
-		}
+		ce := ec.compileAlt(v, norm.Alternatives[ai], o, &meta.alts[ai])
 		if !memoOK {
 			ce.sigs = nil
 		}
@@ -313,7 +263,7 @@ func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve
 			bestRanges = append(bestRanges[:0], res.ranges...)
 		}
 	}
-	return best, bestRanges, nil
+	return best, bestRanges
 }
 
 func makeResult(v *Viz, sc float64, ranges [][2]int) Result {

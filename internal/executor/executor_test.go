@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -40,11 +41,21 @@ func seqOpts() Options {
 	return o
 }
 
+// searchSeries compiles q and ranks series with it: the one-shot Compile +
+// RunContext the tests run queries through.
+func searchSeries(series []dataset.Series, q shape.Query, opts Options) ([]Result, error) {
+	p, err := Compile(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunContext(context.Background(), series)
+}
+
 func search(t *testing.T, series []dataset.Series, q string, opts Options) []Result {
 	t.Helper()
-	res, err := SearchSeries(series, regexlang.MustParse(q), opts)
+	res, err := searchSeries(series, regexlang.MustParse(q), opts)
 	if err != nil {
-		t.Fatalf("SearchSeries(%q): %v", q, err)
+		t.Fatalf("searchSeries(%q): %v", q, err)
 	}
 	return res
 }
@@ -368,7 +379,7 @@ func TestUDP(t *testing.T) {
 		t.Fatalf("top = %+v", res[0])
 	}
 	// Unknown UDP is a compile error.
-	if _, err := SearchSeries(series, regexlang.MustParse("[p=ghost]"), seqOpts()); err == nil ||
+	if _, err := searchSeries(series, regexlang.MustParse("[p=ghost]"), seqOpts()); err == nil ||
 		!strings.Contains(err.Error(), "user-defined pattern") {
 		t.Fatalf("expected unknown-UDP error, got %v", err)
 	}
@@ -443,7 +454,7 @@ func TestExhaustiveGuard(t *testing.T) {
 	}
 	opts := seqOpts()
 	opts.Algorithm = AlgExhaustive
-	_, err := SearchSeries([]dataset.Series{mkSeries("big", big...)}, regexlang.MustParse("u;d"), opts)
+	_, err := searchSeries([]dataset.Series{mkSeries("big", big...)}, regexlang.MustParse("u;d"), opts)
 	if err == nil || !strings.Contains(err.Error(), "exhaustive") {
 		t.Fatalf("expected exhaustive guard error, got %v", err)
 	}
@@ -458,7 +469,11 @@ func TestSearchFromTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(tbl, dataset.ExtractSpec{Z: "z", X: "x", Y: "y"}, regexlang.MustParse("u"), seqOpts())
+	p, err := Compile(regexlang.MustParse("u"), seqOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.SearchContext(context.Background(), tbl, dataset.ExtractSpec{Z: "z", X: "x", Y: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,14 +484,14 @@ func TestSearchFromTable(t *testing.T) {
 
 func TestInvalidQuerySurfaces(t *testing.T) {
 	q := shape.Query{Root: shape.Seg(shape.Segment{})}
-	if _, err := SearchSeries(peakValleySeries(), q, seqOpts()); err == nil {
+	if _, err := searchSeries(peakValleySeries(), q, seqOpts()); err == nil {
 		t.Fatal("invalid query should error")
 	}
 	andChain := shape.Query{Root: shape.And(
 		shape.PatternSeg(shape.PatUp),
 		shape.Concat(shape.PatternSeg(shape.PatUp), shape.PatternSeg(shape.PatDown)),
 	)}
-	if _, err := SearchSeries(peakValleySeries(), andChain, seqOpts()); err == nil {
+	if _, err := searchSeries(peakValleySeries(), andChain, seqOpts()); err == nil {
 		t.Fatal("AND-over-chain should error")
 	}
 }

@@ -50,19 +50,21 @@ type VizIndex struct {
 	ix   *shapeindex.Index
 }
 
-// BuildVizIndex precomputes each candidate's bound summary (in parallel —
-// the per-viz slope-extreme scan is the dominant cost) and builds the
-// sharded envelope index over them. Nil entries are tolerated and never
-// surface in traversal. shards <= 0 picks GOMAXPROCS. Uncancellable
-// compatibility wrapper for BuildVizIndexContext.
+// BuildVizIndex is BuildVizIndexContext without cancellation. It stays
+// because cmd/shapebench, a module of its own, calls it, and because the
+// server's cache-fill build and its background rebuild must outlive any
+// single request's ctx.
 func BuildVizIndex(vizs []*Viz, shards int) *VizIndex {
 	ix, _ := BuildVizIndexContext(context.Background(), vizs, shards)
 	return ix
 }
 
-// BuildVizIndexContext is BuildVizIndex under the caller's cancellation:
-// ctx aborts the parallel summary pass between candidates and the build
-// returns ctx's error with a nil index.
+// BuildVizIndexContext precomputes each candidate's bound summary (in
+// parallel — the per-viz slope-extreme scan is the dominant cost) and
+// builds the sharded envelope index over them. Nil entries are tolerated
+// and never surface in traversal. shards <= 0 picks GOMAXPROCS. ctx aborts
+// the parallel summary pass between candidates and the build returns ctx's
+// error with a nil index.
 func BuildVizIndexContext(ctx context.Context, vizs []*Viz, shards int) (*VizIndex, error) {
 	sums := make([]*shapeindex.Summary, len(vizs))
 	workers := runtime.GOMAXPROCS(0)
@@ -243,21 +245,11 @@ func envChainUpperBound(ec *evalCtx, s *shapeindex.Summary, ps *pruneStats, alt 
 	return chainUB
 }
 
-// RunIndexed ranks the indexed candidates against the compiled query.
-func (p *Plan) RunIndexed(ix *VizIndex) ([]Result, error) {
-	return p.RunIndexedContext(context.Background(), ix)
-}
-
-// RunIndexedContext is RunIndexed with cooperative cancellation (see
-// SearchContext).
-func (p *Plan) RunIndexedContext(ctx context.Context, ix *VizIndex) ([]Result, error) {
-	return p.RunIndexedStatsContext(ctx, ix, nil)
-}
-
-// RunIndexedStatsContext additionally fills st (when non-nil) with traversal
-// statistics. Engines without a sound bound to traverse by (distance
-// baselines, pruning disabled) fall back to the flat pipeline over the
-// indexed slice — same results, no skipping.
+// RunIndexedStatsContext ranks the indexed candidates against the compiled
+// query, with cooperative cancellation (see Plan.SearchContext), and fills
+// st (when non-nil) with traversal statistics. Engines without a sound
+// bound to traverse by (distance baselines, pruning disabled) fall back to
+// the flat pipeline over the indexed slice — same results, no skipping.
 func (p *Plan) RunIndexedStatsContext(ctx context.Context, ix *VizIndex, st *IndexStats) ([]Result, error) {
 	if !p.prune || p.distance {
 		if st != nil {
@@ -268,19 +260,15 @@ func (p *Plan) RunIndexedStatsContext(ctx context.Context, ix *VizIndex, st *Ind
 	return first(traverse(ctx, []*Plan{p}, ix, st))
 }
 
-// RunIndexed ranks the indexed candidates for every query in the batch.
-func (mp *MultiPlan) RunIndexed(ix *VizIndex) ([][]Result, error) {
-	return mp.RunIndexedContext(context.Background(), ix)
-}
-
-// RunIndexedContext is the batch counterpart of Plan.RunIndexedContext: one
-// traversal serves every query, descending by the max-over-queries envelope
-// bound (a subtree is skipped only when every query's floor dominates its
-// bound for that query — the same max the flat scan orders candidates by)
-// and sharing each visited member's bound caches and score/fit memos across
-// the batch. Per-query floors, pruning, verification and selection stay
-// independent, so per-query results are byte-identical to running each plan
-// alone.
+// RunIndexedContext ranks the indexed candidates for every query in the
+// batch, with cooperative cancellation: the batch counterpart of
+// Plan.RunIndexedStatsContext. One traversal serves every query, descending
+// by the max-over-queries envelope bound (a subtree is skipped only when
+// every query's floor dominates its bound for that query — the same max the
+// flat scan orders candidates by) and sharing each visited member's bound
+// caches and score/fit memos across the batch. Per-query floors, pruning,
+// verification and selection stay independent, so per-query results are
+// byte-identical to running each plan alone.
 func (mp *MultiPlan) RunIndexedContext(ctx context.Context, ix *VizIndex) ([][]Result, error) {
 	if !mp.plans[0].prune || mp.plans[0].distance {
 		return mp.RunGroupedContext(ctx, ix.vizs)

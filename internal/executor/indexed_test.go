@@ -115,7 +115,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 				base.Parallelism = 1
 				base.K = k
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestIndexedSearchMatchesScan(t *testing.T) {
 					}
 					vizs := plan.GroupSeries(series)
 					for _, shards := range []int{1, 3} {
-						got, err := plan.RunIndexed(BuildVizIndex(vizs, shards))
+						got, err := plan.RunIndexedStatsContext(context.Background(), BuildVizIndex(vizs, shards), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -165,7 +165,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 	}
 	vizs := mp.plans[0].GroupSeries(series)
 	for _, shards := range []int{1, 3} {
-		got, err := mp.RunIndexed(BuildVizIndex(vizs, shards))
+		got, err := mp.RunIndexedContext(context.Background(), BuildVizIndex(vizs, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestIndexedBatchMatchesScan(t *testing.T) {
 			base := opts
 			base.Parallelism = 1
 			base.Pruning = false
-			want, err := SearchSeries(series, regexlang.MustParse(query), base)
+			want, err := searchSeries(series, regexlang.MustParse(query), base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,20 +199,20 @@ func TestLargeCorpusIndexedSmoke(t *testing.T) {
 	base.Parallelism = 4
 	base.K = 10
 	base.Pruning = false
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Pruned Plan.Run auto-indexes at this size — the path servers without a
-	// prebuilt index take.
+	// Pruned Plan.RunContext auto-indexes at this size — the path servers
+	// without a prebuilt index take.
 	opts := base
 	opts.Pruning = true
 	plan, err := Compile(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(series)
+	got, err := plan.RunContext(context.Background(), series)
 	if err != nil {
 		t.Fatal(err)
 	}

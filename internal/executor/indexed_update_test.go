@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -90,7 +91,7 @@ func TestIndexUpdateEnvelopeDominance(t *testing.T) {
 						}
 					}
 				})
-				got, err := plan.RunIndexed(upd)
+				got, err := plan.RunIndexedStatsContext(context.Background(), upd, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

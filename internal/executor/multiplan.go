@@ -137,55 +137,41 @@ func compatibleOpts(a, b *Options) error {
 	return nil
 }
 
-// Queries reports the number of queries in the batch.
-func (mp *MultiPlan) Queries() int { return len(mp.plans) }
-
-// Search runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline for the
-// whole batch, returning one result slice per query in input order.
-func (mp *MultiPlan) Search(src dataset.Source, spec dataset.ExtractSpec) ([][]Result, error) {
-	return mp.SearchContext(context.Background(), src, spec)
-}
-
-// SearchContext is Search with cooperative cancellation. Queries are
-// grouped by Plan.CandidateKey: queries whose effective spec and GROUP
-// configuration agree (equal keys guarantee identical grouped candidates)
-// extract and group once and score in one multi-query pass; each distinct
-// key pays one EXTRACT + GROUP. A serving layer with a candidate cache does
-// the same grouping itself and calls RunGroupedContext per cached entry.
+// SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline
+// for the whole batch, with cooperative cancellation, returning one result
+// slice per query in input order. Queries are grouped by
+// Plan.CandidateKey: queries whose effective spec and GROUP configuration
+// agree (equal keys guarantee identical grouped candidates) extract and
+// group once and score in one multi-query pass; each distinct key pays one
+// EXTRACT + GROUP. A serving layer with a candidate cache does the same
+// grouping itself and calls RunGroupedContext per cached entry.
 func (mp *MultiPlan) SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec) ([][]Result, error) {
 	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(spec) },
 		func(lead *Plan) ([]dataset.Series, error) { return src.Extract(lead.EffectiveSpec(spec)) })
 }
 
-// Run ranks pre-extracted series for every query in the batch.
-func (mp *MultiPlan) Run(series []dataset.Series) ([][]Result, error) {
-	return mp.RunContext(context.Background(), series)
-}
-
-// RunContext is Run with cooperative cancellation. As in SearchContext,
-// queries sharing a GROUP configuration (push-down filter windows and
-// z-normalization — CandidateKey under an empty spec) group once.
+// RunContext ranks pre-extracted series for every query in the batch, with
+// cooperative cancellation. As in SearchContext, queries sharing a GROUP
+// configuration (push-down filter windows and z-normalization —
+// CandidateKey under an empty spec) group once.
 func (mp *MultiPlan) RunContext(ctx context.Context, series []dataset.Series) ([][]Result, error) {
 	return mp.runByKey(ctx, func(p *Plan) string { return p.CandidateKey(dataset.ExtractSpec{}) },
 		func(*Plan) ([]dataset.Series, error) { return series, nil })
 }
 
-// RunGrouped ranks pre-grouped candidates for every query in the batch.
-// The caller asserts the vizs are valid for all queries (same candidate
-// key — the server guarantees this per candidate-cache entry).
-func (mp *MultiPlan) RunGrouped(vizs []*Viz) ([][]Result, error) {
-	return mp.RunGroupedContext(context.Background(), vizs)
-}
-
-// RunGroupedContext is RunGrouped with cooperative cancellation.
+// RunGroupedContext ranks pre-grouped candidates for every query in the
+// batch, with cooperative cancellation. The caller asserts the vizs are
+// valid for all queries (same candidate key — the server guarantees this
+// per candidate-cache entry).
 func (mp *MultiPlan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([][]Result, error) {
 	return scan(ctx, mp.plans, len(vizs), func(i int) *Viz { return vizs[i] })
 }
 
 // runByKey partitions the queries by candidate key, in first-appearance
 // order (deterministic across runs), and per distinct key fetches the
-// series once (through the group's first plan), groups them, and scores
-// the whole group in one pass. Results are per query, in input order.
+// series once (through the group's first plan) and ranks them for the
+// whole group in one pass (runSeries). Results are per query, in input
+// order.
 func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, fetch func(lead *Plan) ([]dataset.Series, error)) ([][]Result, error) {
 	groups := make(map[string][]int, len(mp.plans))
 	order := make([]string, 0, len(mp.plans))
@@ -210,8 +196,7 @@ func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, fetch
 		if err != nil {
 			return nil, err
 		}
-		vizs := plans[0].GroupSeries(series)
-		res, err := scan(ctx, plans, len(vizs), func(i int) *Viz { return vizs[i] })
+		res, err := runSeries(ctx, plans, series)
 		if err != nil {
 			return nil, err
 		}
@@ -220,20 +205,4 @@ func (mp *MultiPlan) runByKey(ctx context.Context, key func(*Plan) string, fetch
 		}
 	}
 	return out, nil
-}
-
-// SearchBatch compiles qs under one set of options and runs the whole batch
-// against the source in one pass — the convenience wrapper over
-// CompileBatch + MultiPlan.Search. Results are per query, in input order.
-func SearchBatch(src dataset.Source, spec dataset.ExtractSpec, qs []shape.Query, opts Options) ([][]Result, error) {
-	return SearchBatchContext(context.Background(), src, spec, qs, opts)
-}
-
-// SearchBatchContext is SearchBatch with cooperative cancellation.
-func SearchBatchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec, qs []shape.Query, opts Options) ([][]Result, error) {
-	mp, err := CompileBatch(qs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return mp.SearchContext(ctx, src, spec)
 }

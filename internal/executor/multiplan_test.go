@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,7 +101,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: NewMultiPlan: %v", label, err)
 				}
-				got, err := mp.Run(series)
+				got, err := mp.RunContext(context.Background(), series)
 				if err != nil {
 					t.Fatalf("%s: batch Run: %v", label, err)
 				}
@@ -108,13 +109,113 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: got %d result sets, want %d", label, len(got), nq)
 				}
 				for i, p := range plans {
-					want, err := p.Run(series)
+					want, err := p.RunContext(context.Background(), series)
 					if err != nil {
 						t.Fatalf("%s: sequential Run(%d): %v", label, i, err)
 					}
 					requireSameResults(t, fmt.Sprintf("%s/q%d/reference", label, i), referenceRun(t, series, qs[i], opts), want)
 					requireSameResults(t, fmt.Sprintf("%s/q%d", label, i), want, got[i])
 				}
+			}
+		}
+	}
+}
+
+// TestBatchSplitsByCandidateKey: a batch whose queries need different
+// candidate sets — a pinned push-down query, a y-pinned query (which turns
+// off z-normalization) and fuzzy ones — splits by Plan.CandidateKey and
+// ranks each key's candidates in a pass of its own. Every query's batch
+// results must equal its own plan's and referenceRun's, over a *Table, an
+// *Index and pre-extracted series.
+func TestBatchSplitsByCandidateKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var series []dataset.Series
+	var zs []string
+	var xs, ys []float64
+	for i := 0; i < 12; i++ {
+		s := randomSeries(rng, 40)
+		s.Z = fmt.Sprintf("z%02d", i)
+		series = append(series, s)
+		for j := range s.X {
+			zs = append(zs, s.Z)
+			xs = append(xs, s.X[j])
+			ys = append(ys, s.Y[j])
+		}
+	}
+	tbl, err := dataset.New(
+		dataset.Column{Name: "z", Type: dataset.String, Strings: zs},
+		dataset.Column{Name: "x", Type: dataset.Float, Floats: xs},
+		dataset.Column{Name: "y", Type: dataset.Float, Floats: ys},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		src  dataset.Source
+	}{{"table", tbl}, {"index", dataset.BuildIndex(tbl)}}
+	spec := dataset.ExtractSpec{Z: "z", X: "x", Y: "y"}
+	queries := []string{"u ; d", "[p{up},x.s=10,x.e=30]", "d ; u ; d", "[p{up},y.s=1,y.e=5]", "u? ; d"}
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		for _, pruning := range []bool{false, true} {
+			label := fmt.Sprintf("w%d/prune%v", workers, pruning)
+			opts := DefaultOptions()
+			opts.Parallelism = workers
+			opts.Pruning = pruning
+			opts.K = 5
+			qs := make([]shape.Query, len(queries))
+			plans := make([]*Plan, len(queries))
+			searchKeys := make(map[string]bool)
+			runKeys := make(map[string]bool)
+			for i, s := range queries {
+				qs[i] = regexlang.MustParse(s)
+				p, err := Compile(qs[i], opts)
+				if err != nil {
+					t.Fatalf("%s: Compile(%q): %v", label, s, err)
+				}
+				plans[i] = p
+				searchKeys[p.CandidateKey(spec)] = true
+				runKeys[p.CandidateKey(dataset.ExtractSpec{})] = true
+			}
+			if len(searchKeys) != 3 || len(runKeys) != 3 {
+				t.Fatalf("%s: the batch needs %d search keys and %d run keys, want 3 each", label, len(searchKeys), len(runKeys))
+			}
+			mp, err := NewMultiPlan(plans)
+			if err != nil {
+				t.Fatalf("%s: NewMultiPlan: %v", label, err)
+			}
+			for _, src := range sources {
+				got, err := mp.SearchContext(ctx, src.src, spec)
+				if err != nil {
+					t.Fatalf("%s/%s: batch search: %v", label, src.name, err)
+				}
+				for i, p := range plans {
+					sl := fmt.Sprintf("%s/%s/q%d", label, src.name, i)
+					want, err := p.SearchContext(ctx, src.src, spec)
+					if err != nil {
+						t.Fatalf("%s: search: %v", sl, err)
+					}
+					extracted, err := src.src.Extract(p.EffectiveSpec(spec))
+					if err != nil {
+						t.Fatalf("%s: extract: %v", sl, err)
+					}
+					requireSameResults(t, sl+"/reference", referenceRun(t, extracted, qs[i], opts), want)
+					requireSameResults(t, sl, want, got[i])
+				}
+			}
+			got, err := mp.RunContext(ctx, series)
+			if err != nil {
+				t.Fatalf("%s: batch run: %v", label, err)
+			}
+			for i, p := range plans {
+				rl := fmt.Sprintf("%s/series/q%d", label, i)
+				want, err := p.RunContext(ctx, series)
+				if err != nil {
+					t.Fatalf("%s: run: %v", rl, err)
+				}
+				requireSameResults(t, rl+"/reference", referenceRun(t, series, qs[i], opts), want)
+				requireSameResults(t, rl, want, got[i])
 			}
 		}
 	}
@@ -141,7 +242,7 @@ func TestMultiPlanDoesNotMutateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before1, err := p1.Run(series)
+	before1, err := p1.RunContext(context.Background(), series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +251,13 @@ func TestMultiPlanDoesNotMutateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mp.Run(series); err != nil {
+	if _, err := mp.RunContext(context.Background(), series); err != nil {
 		t.Fatal(err)
 	}
 	if p1.opts.chainMeta != meta1 {
 		t.Fatal("NewMultiPlan replaced the input plan's chainMeta")
 	}
-	after1, err := p1.Run(series)
+	after1, err := p1.RunContext(context.Background(), series)
 	if err != nil {
 		t.Fatal(err)
 	}

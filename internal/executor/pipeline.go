@@ -195,8 +195,9 @@ func (r *batchRun) bound(ec *evalCtx, v *Viz, id int32, s []slot) float64 {
 // queries, so every (signature, range) score and range fit is computed
 // once per candidate for the whole batch; a query that prunes the
 // candidate keeps its bound-carrying slot and must not consume the reset
-// (the memos would then carry the previous candidate's entries). It
-// returns false after recording an evaluation error.
+// (the memos would then carry the previous candidate's entries).
+// Evaluation itself cannot fail; score returns false only after recording
+// that v exceeds the exhaustive engine's size limit.
 func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	o0 := r.plans[0].opts
 	if o0.Algorithm == AlgExhaustive && v.N() > o0.MaxExhaustivePoints {
@@ -226,11 +227,7 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 				}
 			}
 		}
-		sc, ranges, err := evalVizShared(ec, v, p.norm, p.opts, p.solver, resetMemo)
-		if err != nil {
-			r.fail(err)
-			return false
-		}
+		sc, ranges := evalVizShared(ec, v, p.norm, p.opts, p.solver, resetMemo)
 		resetMemo = false
 		if prune {
 			// Without pruning nothing reads the floor, so skip the lock.
@@ -243,8 +240,8 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 }
 
 // finish ends a driver's main pass (err is its pool's error): it reports
-// the first evaluation error or the context's, runs deferred verification
-// when pruning, and selects every query's top-k from slots.
+// the recorded error or the context's, runs deferred verification when
+// pruning, and selects every query's top-k from slots.
 func (r *batchRun) finish(ctx context.Context, slots []slot, err error) ([][]Result, error) {
 	if r.firstErr != nil {
 		return nil, r.firstErr
@@ -255,9 +252,6 @@ func (r *batchRun) finish(ctx context.Context, slots []slot, err error) ([][]Res
 	if r.plans[0].prune {
 		if err := r.verify(ctx, slots); err != nil {
 			return nil, err
-		}
-		if r.firstErr != nil {
-			return nil, r.firstErr
 		}
 	}
 	out := make([][]Result, len(r.plans))
@@ -296,16 +290,9 @@ func (r *batchRun) verify(ctx context.Context, slots []slot) error {
 		return nil
 	}
 	return forEachIndex(ctx, len(r.ecs), len(rescue), func(worker, j int) {
-		if r.abort.Load() {
-			return
-		}
 		s := &slots[rescue[j]]
 		p := r.plans[rescue[j]%Q]
-		sc, ranges, err := evalViz(r.ecs[worker], s.v, p.norm, p.opts, p.solver)
-		if err != nil {
-			r.fail(err)
-			return
-		}
+		sc, ranges := evalViz(r.ecs[worker], s.v, p.norm, p.opts, p.solver)
 		r.scored.Add(1)
 		*s = slot{v: s.v, score: sc, ranges: ranges, id: s.id, ok: true}
 	})

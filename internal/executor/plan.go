@@ -38,7 +38,7 @@ type Plan struct {
 // Compile prepares a query for repeated execution: it validates the query,
 // normalizes it into alternative chains, selects the segmentation solver,
 // pre-normalizes nested sub-queries, and checks user-defined pattern
-// references — everything that previously ran per SearchSeries call.
+// references — once per plan, not once per run.
 func Compile(q shape.Query, opts Options) (*Plan, error) {
 	o := opts.normalized()
 	if err := q.Validate(); err != nil {
@@ -133,13 +133,9 @@ func Compile(q shape.Query, opts Options) (*Plan, error) {
 	if len(sketchQY) > 0 {
 		o.sketchQY = sketchQY
 	}
-	o.compiled = true
 	o.chainMeta = buildChainMeta(norm)
 	return p, nil
 }
-
-// Options returns a copy of the plan's normalized options.
-func (p *Plan) Options() Options { return *p.opts }
 
 // Fingerprint returns the plan's canonical query fingerprint: the
 // normalized alternative chains' signatures in order (see
@@ -224,25 +220,28 @@ func (p *Plan) PinFree() bool {
 	return !p.opts.Pushdown || len(p.pinned) == 0
 }
 
-// groupCfg builds the GROUP configuration for a series collection (the
-// skip-window padding depends on the collection's sampling interval).
-func (p *Plan) groupCfg(series []dataset.Series) groupConfig {
+// groupInput runs the push-down filter over a series collection, dropping
+// series with no data in a pinned window, and builds the GROUP
+// configuration for what is left (the skip-window padding depends on the
+// collection's sampling interval).
+func (p *Plan) groupInput(series []dataset.Series) ([]dataset.Series, groupConfig) {
+	if p.opts.Pushdown && len(p.pinned) > 0 {
+		series = filterSeriesWithData(series, p.pinned)
+	}
 	gcfg := groupConfig{zNormalize: !p.yConstrained}
 	if p.opts.Pushdown && p.allPinned && len(p.pinned) > 0 {
 		gcfg.keepRanges = padRanges(p.pinned, xStep(series)*1.5)
 	}
-	return gcfg
+	return series, gcfg
 }
 
 // GroupSeries runs the push-down filter and the GROUP operator over a
-// series collection, returning the candidate visualizations RunGrouped
-// scores. The result is what a serving layer caches to skip EXTRACT +
-// GROUP on repeated queries with the same visual parameters.
+// series collection, returning the candidate visualizations
+// RunGroupedContext scores. The result is what a serving layer caches to
+// skip EXTRACT + GROUP on repeated queries with the same visual
+// parameters.
 func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
-	if p.opts.Pushdown && len(p.pinned) > 0 {
-		series = filterSeriesWithData(series, p.pinned)
-	}
-	gcfg := p.groupCfg(series)
+	series, gcfg := p.groupInput(series)
 	vizs := make([]*Viz, 0, len(series))
 	for _, s := range series {
 		if v := group(s, gcfg); v != nil {
@@ -252,20 +251,16 @@ func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
 	return vizs
 }
 
-// Search runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline over a
-// data source: a bare *dataset.Table (legacy row-at-a-time extraction) or a
-// *dataset.Index (columnar extraction with dictionary-encoded grouping and
-// vectorized filters). Filter validation happens once, up front, inside the
-// source's Extract — never per row.
-func (p *Plan) Search(src dataset.Source, spec dataset.ExtractSpec) ([]Result, error) {
-	return p.SearchContext(context.Background(), src, spec)
-}
-
-// SearchContext is Search with cooperative cancellation: once ctx is done,
-// workers stop pulling candidates, the pool drains, and the call returns
-// ctx.Err(). Cancellation is checked between candidates (and between
-// bounding-pass candidates), so an abandoned request frees its workers
-// within one candidate's scoring time.
+// SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline
+// over a data source: a bare *dataset.Table (legacy row-at-a-time
+// extraction) or a *dataset.Index (columnar extraction with
+// dictionary-encoded grouping and vectorized filters). Filter validation
+// happens once, up front, inside the source's Extract — never per row.
+//
+// Cancellation is cooperative: once ctx is done, workers stop pulling
+// candidates, the pool drains, and the call returns ctx.Err(). It is
+// checked between candidates (and between bounding-pass candidates), so an
+// abandoned request frees its workers within one candidate's scoring time.
 func (p *Plan) SearchContext(ctx context.Context, src dataset.Source, spec dataset.ExtractSpec) ([]Result, error) {
 	// Extraction itself is not interruptible, but never start it for a
 	// request that is already dead — on large tables EXTRACT is the most
@@ -280,31 +275,35 @@ func (p *Plan) SearchContext(ctx context.Context, src dataset.Source, spec datas
 	return p.RunContext(ctx, series)
 }
 
-// Run ranks pre-extracted series against the compiled query.
-func (p *Plan) Run(series []dataset.Series) ([]Result, error) {
-	return p.RunContext(context.Background(), series)
-}
-
-// RunContext is Run with cooperative cancellation (see SearchContext).
+// RunContext ranks pre-extracted series against the compiled query, with
+// cooperative cancellation (see SearchContext).
 func (p *Plan) RunContext(ctx context.Context, series []dataset.Series) ([]Result, error) {
-	if p.opts.Pushdown && len(p.pinned) > 0 {
-		series = filterSeriesWithData(series, p.pinned)
-	}
-	gcfg := p.groupCfg(series)
-	return first(scan(ctx, []*Plan{p}, len(series), func(i int) *Viz { return group(series[i], gcfg) }))
+	return first(runSeries(ctx, []*Plan{p}, series))
 }
 
-// RunGrouped ranks pre-grouped candidate visualizations (from GroupSeries,
-// possibly served from a cache) against the compiled query, skipping the
-// EXTRACT and GROUP stages entirely.
-func (p *Plan) RunGrouped(vizs []*Viz) ([]Result, error) {
-	return p.RunGroupedContext(context.Background(), vizs)
+// runSeries ranks series for a batch of plans that share one candidate key,
+// and so one push-down filter and GROUP configuration (the first plan's):
+// each series left after the filter is grouped inside the scan's workers.
+// A series that groups to nil is skipped; the others tie-break by their
+// position in the filtered slice.
+func runSeries(ctx context.Context, plans []*Plan, series []dataset.Series) ([][]Result, error) {
+	series, gcfg := plans[0].groupInput(series)
+	return scan(ctx, plans, len(series), func(i int) *Viz { return group(series[i], gcfg) })
 }
 
-// RunGroupedContext is RunGrouped with cooperative cancellation (see
-// SearchContext).
+// RunGroupedContext ranks pre-grouped candidate visualizations (from
+// GroupSeries, possibly served from a cache) against the compiled query,
+// skipping the EXTRACT and GROUP stages entirely, with cooperative
+// cancellation (see SearchContext).
 func (p *Plan) RunGroupedContext(ctx context.Context, vizs []*Viz) ([]Result, error) {
 	return first(scan(ctx, []*Plan{p}, len(vizs), func(i int) *Viz { return vizs[i] }))
+}
+
+// RunGrouped is RunGroupedContext without cancellation. It stays only
+// because cmd/shapebench, a module of its own, calls it; new code calls
+// RunGroupedContext.
+func (p *Plan) RunGrouped(vizs []*Viz) ([]Result, error) {
+	return p.RunGroupedContext(context.Background(), vizs)
 }
 
 // distanceRun ranks visualizations by DTW or Euclidean distance to a

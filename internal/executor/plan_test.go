@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -35,8 +36,9 @@ func TestCompileRejectsInvalidQueries(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesSearchSeries: the compatibility wrappers and the compiled
-// plan must rank identically across algorithms, pruning and parallelism.
+// TestPlanMatchesSearchSeries: a plan compiled once must rank identically,
+// run after run, to a fresh Compile + RunContext per call, across
+// algorithms, pruning and parallelism.
 func TestPlanMatchesSearchSeries(t *testing.T) {
 	series := planSeries()
 	q := regexlang.MustParse("u ; d")
@@ -56,7 +58,7 @@ func TestPlanMatchesSearchSeries(t *testing.T) {
 			opts := DefaultOptions()
 			opts.K = 5
 			tc.mod(&opts)
-			want, err := SearchSeries(series, q, opts)
+			want, err := searchSeries(series, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,16 +66,18 @@ func TestPlanMatchesSearchSeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plan.Run(series)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("len %d != %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Z != want[i].Z || got[i].Score != want[i].Score {
-					t.Fatalf("%d: %s %v != %s %v", i, got[i].Z, got[i].Score, want[i].Z, want[i].Score)
+			for run := 0; run < 2; run++ {
+				got, err := plan.RunContext(context.Background(), series)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("run %d: len %d != %d", run, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Z != want[i].Z || got[i].Score != want[i].Score {
+						t.Fatalf("run %d: %d: %s %v != %s %v", run, i, got[i].Z, got[i].Score, want[i].Z, want[i].Score)
+					}
 				}
 			}
 		})
@@ -90,7 +94,7 @@ func TestRunGroupedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plan.Run(series)
+		want, err := plan.RunContext(context.Background(), series)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +124,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Run(series)
+	want, err := plan.RunContext(context.Background(), series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +139,7 @@ func TestPlanConcurrentReuse(t *testing.T) {
 				var got []Result
 				var err error
 				if g%2 == 0 {
-					got, err = plan.Run(series)
+					got, err = plan.RunContext(context.Background(), series)
 				} else {
 					got, err = plan.RunGrouped(vizs)
 				}
@@ -229,7 +233,7 @@ func TestSharedThresholdPruningParallel(t *testing.T) {
 	base.Algorithm = AlgSegmentTree
 	base.K = 5
 	base.Parallelism = 1
-	want, err := SearchSeries(series, q, base)
+	want, err := searchSeries(series, q, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +241,7 @@ func TestSharedThresholdPruningParallel(t *testing.T) {
 		pruned := base
 		pruned.Pruning = true
 		pruned.Parallelism = workers
-		got, err := SearchSeries(series, q, pruned)
+		got, err := searchSeries(series, q, pruned)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/gen"
 	"shapesearch/internal/regexlang"
-	"shapesearch/internal/shape"
 )
 
 // assertSameResults fails unless both rankings are identical in length,
@@ -80,7 +79,7 @@ func TestPruningIsLossless(t *testing.T) {
 		opts.K = 5
 
 		opts.Pruning = false
-		exact, err := SearchSeries(series, q, opts)
+		exact, err := searchSeries(series, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func TestPruningIsLossless(t *testing.T) {
 			pruned := opts
 			pruned.Pruning = true
 			pruned.Parallelism = workers
-			got, err := SearchSeries(series, q, pruned)
+			got, err := searchSeries(series, q, pruned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +120,7 @@ func TestPruningIsLossless(t *testing.T) {
 				base.Parallelism = 1
 				base.K = k
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +129,7 @@ func TestPruningIsLossless(t *testing.T) {
 					pruned := base
 					pruned.Pruning = true
 					pruned.Parallelism = workers
-					got, err := SearchSeries(series, q, pruned)
+					got, err := searchSeries(series, q, pruned)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -148,14 +147,14 @@ func TestPruningIsLossless(t *testing.T) {
 				base.Parallelism = 1
 				base.K = 5
 				base.Pruning = false
-				want, err := SearchSeries(series, q, base)
+				want, err := searchSeries(series, q, base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireSameResults(t, fmt.Sprintf("seed=%d q=%q reference", seed, query), referenceRun(t, series, q, base), want)
 				pruned := base
 				pruned.Pruning = true
-				got, err := SearchSeries(series, q, pruned)
+				got, err := searchSeries(series, q, pruned)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +183,7 @@ func TestDeferredVerificationRescues(t *testing.T) {
 		base.Parallelism = 1
 		base.K = 10
 		base.Pruning = false
-		want, err := SearchSeries(series, q, base)
+		want, err := searchSeries(series, q, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func TestDeferredVerificationRescues(t *testing.T) {
 				pruned.Pruning = true
 				pruned.Parallelism = workers
 				pruned.pruneThresholdBias = bias
-				got, err := SearchSeries(series, q, pruned)
+				got, err := searchSeries(series, q, pruned)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -232,23 +231,5 @@ func TestTilingTierIsLive(t *testing.T) {
 	t.Logf("scored %d of %d", st.Scored, st.Candidates)
 	if st.Candidates != 300 || st.Scored > 60 {
 		t.Fatalf("scored %d of %d candidates exactly, want at most 60 of 300", st.Scored, st.Candidates)
-	}
-}
-
-// TestEvalVizPropagatesCompileErrors: a chain-compile error during scoring
-// must surface instead of being swallowed. (Plan-compiled options validate
-// at Compile time, so this drives evalViz directly with uncompiled options,
-// the path where per-chain validation still runs; stage-1 coarse scoring,
-// the old uncompiled path, was deleted with the sampling stage.)
-func TestEvalVizPropagatesCompileErrors(t *testing.T) {
-	v := group(mkSeries("s", 1, 2, 3, 4, 5, 4, 3, 2, 1), groupConfig{zNormalize: true})
-	q := regexlang.MustParse("[p{ghost}] ; d")
-	norm, err := shape.Normalize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := seqOpts().normalized() // not plan-compiled: validation runs per chain
-	if _, _, err := evalViz(newEvalCtx(), v, norm, o, treeRun); err == nil {
-		t.Fatal("evalViz must propagate the unknown-UDP compile error")
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // referenceRun is the ground truth the pipeline property tests compare
 // against, built from no pipeline code: it forms candidates exactly as
-// Plan.RunContext does (push-down filter, groupCfg, group per series,
-// positions kept), scores every candidate sequentially with evalViz on a
+// Plan.RunContext does (groupInput's push-down filter and GROUP
+// configuration, group per series, positions kept), scores every candidate sequentially with evalViz on a
 // fresh evalCtx under naivePlan — no worker pool, no bound, no pruning, no
 // index, no shared memo — and ranks by (score desc, position asc), building
 // the top-k with makeResult.
@@ -21,10 +21,7 @@ func referenceRun(t *testing.T, series []dataset.Series, q shape.Query, opts Opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.opts.Pushdown && len(p.pinned) > 0 {
-		series = filterSeriesWithData(series, p.pinned)
-	}
-	gcfg := p.groupCfg(series)
+	series, gcfg := p.groupInput(series)
 	np := naivePlan(p)
 	type scored struct {
 		pos    int
@@ -38,10 +35,7 @@ func referenceRun(t *testing.T, series []dataset.Series, q shape.Query, opts Opt
 		if v == nil {
 			continue
 		}
-		sc, ranges, err := evalViz(newEvalCtx(), v, np.norm, np.opts, np.solver)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc, ranges := evalViz(newEvalCtx(), v, np.norm, np.opts, np.solver)
 		all = append(all, scored{pos: i, v: v, score: sc, ranges: ranges})
 	}
 	sort.Slice(all, func(a, b int) bool {

@@ -247,20 +247,14 @@ func checkTreeAgainstRef(t *testing.T, ec *evalCtx, v *Viz, plan *Plan) int {
 	for ai, alt := range plan.norm.Alternatives {
 		label := fmt.Sprintf("n=%d stride=%d frac=%g %q alt %d",
 			v.N(), plan.opts.Stride, plan.opts.MinSegmentFrac, plan.Fingerprint(), ai)
-		ce, err := ec.compileAlt(v, alt, plan.opts, &meta.alts[ai])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ce := ec.compileAlt(v, alt, plan.opts, &meta.alts[ai])
 		if !memoOK {
 			ce.sigs = nil
 		}
 		got := solveChain(ce, treeRun)
 		gotScore, gotRanges := got.score, append([][2]int(nil), got.ranges...)
 
-		ref, err := compileChain(v, alt, plan.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := compileChain(v, alt, plan.opts)
 		want := solveChain(ref, refTreeRun)
 		if math.Float64bits(gotScore) != math.Float64bits(want.score) {
 			t.Fatalf("%s: score %v, reference %v", label, gotScore, want.score)

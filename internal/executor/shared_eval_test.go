@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -343,7 +344,7 @@ func BenchmarkPrunedFloorSeeding(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(series); err != nil {
+		if _, err := plan.RunContext(context.Background(), series); err != nil {
 			b.Fatal(err)
 		}
 	}

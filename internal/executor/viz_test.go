@@ -29,10 +29,7 @@ func TestGroupSkipRanges(t *testing.T) {
 	q := regexlang.MustParse("[p=up]")
 	norm, _ := shape.Normalize(q)
 	o := seqOpts().normalized()
-	ce, err := compileChain(v, norm.Alternatives[0], o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := compileChain(v, norm.Alternatives[0], o)
 	if sc := ce.unitScore(0, 0, 9); sc != -1 {
 		t.Fatalf("fit over skipped points = %v, want -1", sc)
 	}
@@ -149,10 +146,7 @@ func TestSoundBoundDominatesExact(t *testing.T) {
 			} else {
 				v = group(randomSeries(rng, 64), groupConfig{zNormalize: true})
 			}
-			exact, _, err := evalViz(ec, v, norm, o, treeRun)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact, _ := evalViz(ec, v, norm, o, treeRun)
 			ec.resetBoundCaches(o.chainMeta)
 			ub := soundUpperBound(ec, v, norm, o)
 			if ub < exact-1e-9 {
@@ -246,10 +240,7 @@ func TestTilingBoundDominatesExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, v := range vizs {
-					exact, _, err := evalViz(ec, v, p.norm, p.opts, treeRun)
-					if err != nil {
-						t.Fatal(err)
-					}
+					exact, _ := evalViz(ec, v, p.norm, p.opts, treeRun)
 					// Past the cap the tier declines, but the bound is
 					// still sound there.
 					if tilingApplies(v, p.opts) != (v.N() <= tilingMaxPoints) {
@@ -384,10 +375,7 @@ func FuzzTilingBound(f *testing.F) {
 			t.Fatalf("%q n=%d: tier applies = %v", query, n, !(n <= tilingMaxPoints))
 		}
 		ec := newEvalCtx()
-		exact, _, err := evalViz(ec, v, p.norm, p.opts, treeRun)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact, _ := evalViz(ec, v, p.norm, p.opts, treeRun)
 		ec.fillRangeAngles(v)
 		if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < exact-boundEps || tb < -1 {
 			t.Fatalf("%q frac=%v x=%v y=%v: tiling bound %.17g, exact score %.17g",
@@ -431,9 +419,7 @@ func BenchmarkTilingBound(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("n=%d/k=%d/exact", n, p.norm.MaxUnits()), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := evalViz(ec, vizs[i%len(vizs)], p.norm, p.opts, treeRun); err != nil {
-						b.Fatal(err)
-					}
+					evalViz(ec, vizs[i%len(vizs)], p.norm, p.opts, treeRun)
 				}
 			})
 		}
@@ -483,10 +469,7 @@ func TestMinSpanRelaxes(t *testing.T) {
 	o.MinSegmentFrac = 0.5 // absurd floor: 5-6 points per unit
 	q := regexlang.MustParse("u ; d ; u ; d")
 	norm, _ := shape.Normalize(q)
-	ce, err := compileChain(v, norm.Alternatives[0], o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ce := compileChain(v, norm.Alternatives[0], o)
 	// Four units over 11 gaps cannot all span 5: the floor must relax so a
 	// segmentation still exists.
 	if got := minSpan(ce, 4, 0, 11); got > 2 {
@@ -522,11 +505,11 @@ func TestSearchPrunedMatchesPlainOnSearch(t *testing.T) {
 	plain.Algorithm = AlgSegmentTree
 	pruned := plain
 	pruned.Pruning = true
-	a, err := SearchSeries(series, q, plain)
+	a, err := searchSeries(series, q, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchSeries(series, q, pruned)
+	b, err := searchSeries(series, q, pruned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,7 +37,7 @@ func Table11(cfg Config) Table {
 			opts := baseOptions(cfg)
 			opts.Algorithm = executor.AlgSegmentTree
 			opts.K = len(check)
-			res, err := executor.SearchSeries(check, q, opts)
+			res, err := mustCompile(q, opts).RunContext(context.TODO(), check)
 			if err != nil {
 				panic(err)
 			}
@@ -66,7 +67,7 @@ func dpScores(series []dataset.Series, q shape.Query, cfg Config) map[string]flo
 	opts := baseOptions(cfg)
 	opts.Algorithm = executor.AlgDP
 	opts.K = len(series)
-	res, err := executor.SearchSeries(series, q, opts)
+	res, err := mustCompile(q, opts).RunContext(context.TODO(), series)
 	if err != nil {
 		panic(err)
 	}
@@ -78,7 +79,7 @@ func dpScores(series []dataset.Series, q shape.Query, cfg Config) map[string]flo
 }
 
 func ranking(series []dataset.Series, q shape.Query, opts executor.Options) []string {
-	res, err := executor.SearchSeries(series, q, opts)
+	res, err := mustCompile(q, opts).RunContext(context.TODO(), series)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -113,7 +114,7 @@ func Fig10(cfg Config) Table {
 			for _, q := range set.fuzzy {
 				plan := mustCompile(q, opts)
 				m, lo, hi := timeIt(cfg.Trials, func() {
-					if _, err := plan.Run(set.series); err != nil {
+					if _, err := plan.RunContext(context.TODO(), set.series); err != nil {
 						panic(err)
 					}
 				})
@@ -157,7 +158,7 @@ func Fig11(cfg Config) Table {
 		run := func(opts executor.Options) time.Duration {
 			plan := mustCompile(q, opts)
 			mean, _, _ := timeIt(cfg.Trials, func() {
-				if _, err := plan.Search(set.table, set.spec); err != nil {
+				if _, err := plan.SearchContext(context.TODO(), set.table, set.spec); err != nil {
 					panic(err)
 				}
 			})
@@ -204,23 +205,7 @@ func Fig13a(cfg Config) Table {
 			}
 			prefixes[i] = dataset.Series{Z: s.Z, X: s.X[:m], Y: s.Y[:m]}
 		}
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, alg := range []struct {
-			a       executor.Algorithm
-			pruning bool
-		}{{executor.AlgDP, false}, {executor.AlgSegmentTree, false}, {executor.AlgSegmentTree, true}} {
-			opts := baseOptions(cfg)
-			opts.Algorithm = alg.a
-			opts.Pruning = alg.pruning
-			plan := mustCompile(q, opts)
-			mean, _, _ := timeIt(cfg.Trials, func() {
-				if _, err := plan.Run(prefixes); err != nil {
-					panic(err)
-				}
-			})
-			row = append(row, seconds(mean))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", n)}, scalingTimes(cfg, q, prefixes)...))
 	}
 	t.Notes = append(t.Notes,
 		"expected shape (paper): DP grows quadratically in points, SegmentTree linearly; they cross near ~100 points")
@@ -254,23 +239,7 @@ func Fig13b(cfg Config) Table {
 			}
 		}
 		q := regexlang.MustParse(joinWith(parts, " ; "))
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, alg := range []struct {
-			a       executor.Algorithm
-			pruning bool
-		}{{executor.AlgDP, false}, {executor.AlgSegmentTree, false}, {executor.AlgSegmentTree, true}} {
-			opts := baseOptions(cfg)
-			opts.Algorithm = alg.a
-			opts.Pruning = alg.pruning
-			plan := mustCompile(q, opts)
-			mean, _, _ := timeIt(cfg.Trials, func() {
-				if _, err := plan.Run(series); err != nil {
-					panic(err)
-				}
-			})
-			row = append(row, seconds(mean))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", k)}, scalingTimes(cfg, q, series)...))
 	}
 	t.Notes = append(t.Notes,
 		"expected shape (paper): SegmentTree cost grows faster in k (k⁴) than DP (k), but DP's n² term keeps it slower overall on 366-point trendlines")
@@ -301,28 +270,35 @@ func Fig13c(cfg Config) Table {
 			n = len(series)
 		}
 		sub := series[:n]
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, alg := range []struct {
-			a       executor.Algorithm
-			pruning bool
-		}{{executor.AlgDP, false}, {executor.AlgSegmentTree, false}, {executor.AlgSegmentTree, true}} {
-			opts := baseOptions(cfg)
-			opts.Algorithm = alg.a
-			opts.Pruning = alg.pruning
-			plan := mustCompile(q, opts)
-			mean, _, _ := timeIt(cfg.Trials, func() {
-				if _, err := plan.Run(sub); err != nil {
-					panic(err)
-				}
-			})
-			row = append(row, seconds(mean))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", n)}, scalingTimes(cfg, q, sub)...))
 	}
 	t.Notes = append(t.Notes,
 		"expected shape (paper): all approaches scale linearly with collection size; the gap between SegmentTree and SegmentTree+Pruning widens as more visualizations can be pruned",
 		"note: pruning here is lossless (exact top-k); on this dataset the top-k floor sits inside the bulk's sound-bound band, so little can be pruned and the bound pass is visible as overhead — see BenchmarkSearchPruned for the separated regime the optimization targets")
 	return t
+}
+
+// scalingTimes times q over series with DP, SegmentTree and
+// SegmentTree+Pruning, the three runtime columns of Figs. 13a–c, and
+// returns the mean runtimes in that order.
+func scalingTimes(cfg Config, q shape.Query, series []dataset.Series) []string {
+	var cells []string
+	for _, alg := range []struct {
+		a       executor.Algorithm
+		pruning bool
+	}{{executor.AlgDP, false}, {executor.AlgSegmentTree, false}, {executor.AlgSegmentTree, true}} {
+		opts := baseOptions(cfg)
+		opts.Algorithm = alg.a
+		opts.Pruning = alg.pruning
+		plan := mustCompile(q, opts)
+		mean, _, _ := timeIt(cfg.Trials, func() {
+			if _, err := plan.RunContext(context.TODO(), series); err != nil {
+				panic(err)
+			}
+		})
+		cells = append(cells, seconds(mean))
+	}
+	return cells
 }
 
 func joinWith(parts []string, sep string) string {

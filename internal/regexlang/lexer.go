@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -167,10 +168,6 @@ func (l *lexer) next() (token, error) {
 			return token{kind: g.kind, text: g.glyph, pos: start}, nil
 		}
 	}
-	if strings.HasPrefix(rest, "θ") {
-		l.pos += len("θ")
-		return token{kind: tokIdent, text: "theta", pos: start}, nil
-	}
 
 	c := l.input[l.pos]
 	switch c {
@@ -254,10 +251,14 @@ func (l *lexer) next() (token, error) {
 	if isDigit(c) {
 		return l.lexNumber()
 	}
-	if isIdentStart(rune(c)) {
+	r, size := utf8.DecodeRuneInString(rest)
+	if r == utf8.RuneError && size == 1 {
+		return token{}, errf(start, "invalid UTF-8 byte %#x", c)
+	}
+	if isIdentStart(r) {
 		return l.lexIdent()
 	}
-	return token{}, errf(start, "unexpected character %q", string(rune(c)))
+	return token{}, errf(start, "unexpected character %q", string(r))
 }
 
 func (l *lexer) lexNumber() (token, error) {
@@ -298,19 +299,28 @@ func (l *lexer) lexNumber() (token, error) {
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
 	for l.pos < len(l.input) {
-		c := rune(l.input[l.pos])
-		if isIdentStart(c) || isDigit(byte(c)) {
-			l.pos++
+		r, size := utf8.DecodeRuneInString(l.input[l.pos:])
+		if isIdentStart(r) || r < utf8.RuneSelf && isDigit(byte(r)) {
+			l.pos += size
 			continue
 		}
 		// Embedded dots join sub-primitive names: x.s, y.e.
-		if c == '.' && l.pos+1 < len(l.input) && isIdentStart(rune(l.input[l.pos+1])) {
-			l.pos += 2
-			continue
+		if r == '.' {
+			if next, n := utf8.DecodeRuneInString(l.input[l.pos+1:]); isIdentStart(next) {
+				l.pos += 1 + n
+				continue
+			}
 		}
 		break
 	}
-	return token{kind: tokIdent, text: strings.ToLower(l.input[start:l.pos]), pos: start}, nil
+	text := strings.ToLower(l.input[start:l.pos])
+	if text == "θ" {
+		// The paper's slope glyph, θ = 45, in either case. Mapped here, on
+		// the whole identifier, so that a name merely starting with θ stays
+		// one identifier.
+		text = "theta"
+	}
+	return token{kind: tokIdent, text: text, pos: start}, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

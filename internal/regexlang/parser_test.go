@@ -44,6 +44,8 @@ func TestParseSimpleSegments(t *testing.T) {
 		{"[p=up, m=>2]", "[p=up, m=>2]"},
 		{"[v=(2:10,3:14,10:100)]", "[v=(2:10,3:14,10:100)]"},
 		{"[p=myshape]", "[p=myshape]"},
+		{"[p=café]", "[p=café]"},
+		{"[p=über]", "[p=über]"},
 	}
 	for _, c := range cases {
 		q := mustParse(t, c.in)
@@ -168,6 +170,7 @@ func TestParseErrors(t *testing.T) {
 		{"[p=up, m={1.5}]", "integer count"},
 		{"u ⊗", "expected a shape expression"},
 		{"[x.s=.+2, x.e=.+3, p=up]", "must not carry an offset"},
+		{"\xc0", "invalid UTF-8"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.in)
@@ -182,13 +185,18 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestSyntaxErrorPosition(t *testing.T) {
-	_, err := Parse("[p=up] @")
-	se, ok := err.(*SyntaxError)
-	if !ok {
-		t.Fatalf("expected *SyntaxError, got %T", err)
-	}
-	if se.Pos != 7 {
-		t.Errorf("error position = %d, want 7", se.Pos)
+	for _, c := range []struct {
+		in  string
+		pos int
+	}{{"[p=up] @", 7}, {"\xc0", 0}, {"[p=up] \xc0", 7}} {
+		_, err := Parse(c.in)
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Fatalf("Parse(%q): expected *SyntaxError, got %T", c.in, err)
+		}
+		if se.Pos != c.pos {
+			t.Errorf("Parse(%q): error position = %d, want %d", c.in, se.Pos, c.pos)
+		}
 	}
 }
 
@@ -273,17 +281,19 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// formatInputs are queries whose String form must re-parse to itself.
+var formatInputs = []string{
+	"u;d;u",
+	"[p=up, m={2,}] & ![p=flat]",
+	"(u | d) ; f",
+	"[x.s=., x.e=.+3, p=up]",
+	"[v=(0:1,1:5,2:3)]",
+	"[p=$0, m=<0.5]",
+}
+
 // TestIdempotentFormat: String of a parsed query re-parses to the same string.
 func TestIdempotentFormat(t *testing.T) {
-	inputs := []string{
-		"u;d;u",
-		"[p=up, m={2,}] & ![p=flat]",
-		"(u | d) ; f",
-		"[x.s=., x.e=.+3, p=up]",
-		"[v=(0:1,1:5,2:3)]",
-		"[p=$0, m=<0.5]",
-	}
-	for _, in := range inputs {
+	for _, in := range formatInputs {
 		q := mustParse(t, in)
 		s1 := q.String()
 		q2 := mustParse(t, s1)

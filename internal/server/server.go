@@ -439,11 +439,10 @@ type searchRequest struct {
 }
 
 type filterSpec struct {
-	Col   string  `json:"col"`
-	Op    string  `json:"op"`
-	Num   float64 `json:"num,omitempty"`
-	Str   string  `json:"str,omitempty"`
-	IsStr bool    `json:"isStr,omitempty"`
+	Col string  `json:"col"`
+	Op  string  `json:"op"`
+	Num float64 `json:"num,omitempty"`
+	Str string  `json:"str,omitempty"`
 }
 
 // searchResponse is the /api/search reply. Single-query requests populate

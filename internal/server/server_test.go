@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -231,8 +232,8 @@ func TestSearchEndToEnd(t *testing.T) {
 }
 
 // TestSearchNonFiniteReply: a dataset whose y holds Inf uploads, and a
-// search over it yields a reply JSON cannot encode. The reply must be a
-// 500 with a JSON error, not a 200 with an empty body.
+// search over it answers 200: extraction drops the Inf row, so the reply
+// carries no value JSON cannot encode.
 func TestSearchNonFiniteReply(t *testing.T) {
 	s := testServer(t)
 	csv := "z,x,y\na,0,0\na,1,Inf\na,2,0\nb,0,1\nb,1,3\nb,2,1\n"
@@ -246,6 +247,28 @@ func TestSearchNonFiniteReply(t *testing.T) {
 		parseRequest: parseRequest{Kind: "regex", Query: "u ; d"},
 		Dataset:      "inf", Z: "z", X: "x", Y: "y",
 	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %q", rec.Code, rec.Body.String())
+	}
+	var resp searchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	points := make(map[string][]float64)
+	for _, r := range resp.Results {
+		points[r.Z] = r.X
+	}
+	// Extraction drops the row whose y is Inf, as it drops NaN rows.
+	if a, b := points["a"], points["b"]; len(a) != 2 || a[0] != 0 || a[1] != 2 || len(b) != 3 {
+		t.Fatalf("series x values = %v, want a without its Inf row and b whole", points)
+	}
+}
+
+// TestWriteJSONNonFinite: a reply JSON cannot encode is a 500 with a JSON
+// error, never a 200 with an empty body.
+func TestWriteJSONNonFinite(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"score": math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500: %q", rec.Code, rec.Body.String())
 	}

@@ -13,7 +13,7 @@
 //
 //	tbl, _ := shapesearch.OpenCSV("stocks.csv")
 //	q, _ := shapesearch.ParseRegex("u ; d ; u") // rise, fall, rise
-//	results, _ := shapesearch.Search(tbl,
+//	results, _ := shapesearch.SearchContext(context.Background(), tbl,
 //	    shapesearch.ExtractSpec{Z: "symbol", X: "day", Y: "price"},
 //	    q, shapesearch.DefaultOptions())
 //	for _, r := range results {
@@ -87,7 +87,7 @@ type (
 	// Options configures a search.
 	Options = executor.Options
 	// Plan is a compiled query, reusable (and safe for concurrent use)
-	// across many Run/Search calls.
+	// across many RunContext/SearchContext calls.
 	Plan = executor.Plan
 	// MultiPlan is a batch of compiled queries that execute against a
 	// corpus in one pass, sharing per-candidate work across queries while
@@ -258,7 +258,8 @@ func DefaultSketchConfig() SketchConfig { return sketch.DefaultConfig() }
 // Compile prepares a query for repeated execution: validation,
 // normalization, solver selection and nested sub-query compilation run
 // once, and the resulting Plan can score many series collections (from
-// many goroutines) via Plan.Run, Plan.RunGrouped or Plan.Search.
+// many goroutines) via Plan.RunContext, Plan.RunGroupedContext or
+// Plan.SearchContext.
 func Compile(q Query, opts Options) (*Plan, error) { return executor.Compile(q, opts) }
 
 // CompileBatch compiles several queries under one set of options into a
@@ -277,43 +278,37 @@ func CompileBatch(qs []Query, opts Options) (*MultiPlan, error) {
 // and remain independently usable.
 func NewMultiPlan(plans []*Plan) (*MultiPlan, error) { return executor.NewMultiPlan(plans) }
 
-// SearchBatch runs several queries against the source in one pass over the
-// candidates — the batch analogue of Search. Results are per query, in
-// input order, byte-identical to running each query alone.
-func SearchBatch(src Source, spec ExtractSpec, qs []Query, opts Options) ([][]Result, error) {
-	return executor.SearchBatch(src, spec, qs, opts)
-}
-
-// SearchBatchContext is SearchBatch with cooperative cancellation.
+// SearchBatchContext runs several queries against the source in one pass
+// over the candidates — the batch analogue of SearchContext. Results are
+// per query, in input order, byte-identical to running each query alone.
 func SearchBatchContext(ctx context.Context, src Source, spec ExtractSpec, qs []Query, opts Options) ([][]Result, error) {
-	return executor.SearchBatchContext(ctx, src, spec, qs, opts)
+	mp, err := executor.CompileBatch(qs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return mp.SearchContext(ctx, src, spec)
 }
 
-// Search extracts candidate visualizations and ranks them against the
-// query — the full EXTRACT → GROUP → SEGMENT → SCORE pipeline. The source
-// is a bare *Table or an *Index. It is a thin wrapper over Compile +
-// Plan.Search; issue repeated queries through a compiled Plan (and an
-// Index) instead.
-func Search(src Source, spec ExtractSpec, q Query, opts Options) ([]Result, error) {
-	return executor.Search(src, spec, q, opts)
-}
-
-// SearchContext is Search with cooperative cancellation: when ctx is
-// canceled (or its deadline expires) the scoring worker pool stops pulling
-// candidates and the call returns ctx.Err(). Compiled plans expose the same
-// via Plan.SearchContext / Plan.RunContext / Plan.RunGroupedContext.
+// SearchContext extracts candidate visualizations and ranks them against
+// the query — the full EXTRACT → GROUP → SEGMENT → SCORE pipeline. The
+// source is a bare *Table or an *Index. When ctx is canceled (or its
+// deadline expires) the scoring worker pool stops pulling candidates and
+// the call returns ctx.Err(). It compiles the query on every call; issue
+// repeated queries through a compiled Plan (and an Index) instead.
 func SearchContext(ctx context.Context, src Source, spec ExtractSpec, q Query, opts Options) ([]Result, error) {
-	return executor.SearchContext(ctx, src, spec, q, opts)
+	p, err := executor.Compile(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.SearchContext(ctx, src, spec)
 }
 
-// SearchSeries ranks pre-extracted trendlines against the query (a thin
-// wrapper over Compile + Plan.Run).
-func SearchSeries(series []Series, q Query, opts Options) ([]Result, error) {
-	return executor.SearchSeries(series, q, opts)
-}
-
-// SearchSeriesContext is SearchSeries with cooperative cancellation (see
-// SearchContext).
+// SearchSeriesContext ranks pre-extracted trendlines against the query,
+// with cooperative cancellation (see SearchContext).
 func SearchSeriesContext(ctx context.Context, series []Series, q Query, opts Options) ([]Result, error) {
-	return executor.SearchSeriesContext(ctx, series, q, opts)
+	p, err := executor.Compile(q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunContext(ctx, series)
 }

@@ -1,6 +1,7 @@
 package shapesearch_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestPublicAPISearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := shapesearch.Search(tbl,
+	res, err := shapesearch.SearchContext(context.Background(), tbl,
 		shapesearch.ExtractSpec{Z: "z", X: "x", Y: "y"}, q, shapesearch.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestPublicAPICSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := shapesearch.SearchSeries(series, shapesearch.MustParseRegex("u"), shapesearch.DefaultOptions())
+	res, err := shapesearch.SearchSeriesContext(context.Background(), series, shapesearch.MustParseRegex("u"), shapesearch.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPublicAPIUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := shapesearch.Search(tbl,
+	res, err := shapesearch.SearchContext(context.Background(), tbl,
 		shapesearch.ExtractSpec{Z: "z", X: "x", Y: "y"},
 		shapesearch.MustParseRegex("[p=symmetric]"), opts)
 	if err != nil {
