@@ -31,6 +31,10 @@ type chainEval struct {
 	// plan metadata, nested sub-queries, units containing POSITION
 	// references carry −1 individually). See Options.chainMeta.
 	sigs []int
+	// angles is the range-angle table the viz keeps (loadRangeAngles),
+	// nil when it keeps none or has a skip mask; bare-pattern units read
+	// their range angle from it instead of probing fitMemo.
+	angles []float64
 	// tolX and tolY are the location-satisfaction tolerances.
 	tolX, tolY float64
 	// ampUnit is one standard deviation of the normalized y values (1.0
@@ -82,6 +86,9 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 	ce.ampUnit = v.ampUnit()
 	if am != nil {
 		ce.sigs = am.sigs
+		if ce.skippedPrefix == nil {
+			ce.angles = v.keptRangeAngles()
+		}
 	}
 	ec.units = ec.units[:0]
 	for t, u := range chain.Units {
@@ -149,19 +156,26 @@ func (ce *chainEval) unitScore(t, i, j int) float64 {
 	if sig < 0 {
 		return ce.unitScoreSlow(t, i, j)
 	}
-	// Bare-pattern units score straight off the shared range fit: one probe
-	// on the fit memo (shared across signatures — u and d over one range
-	// use the same fit and atan) and no per-signature score memo traffic.
-	// Bare patterns cannot carry pins, so only the skip mask forces the
-	// general path. The up/down/flat expressions are score.ForKindAngle's,
-	// unwrapped because that function exceeds the inlining budget and this
-	// is the kernel's hottest loop; they MUST stay bit-for-bit in lockstep
-	// with ForKindAngle or shared and naive evaluation diverge
+	// Bare-pattern units score straight off the range angle: one read of
+	// the viz's kept range-angle table, or else one probe on the fit memo
+	// (shared across signatures — u and d over one range use the same fit
+	// and atan), and no per-signature score memo traffic. Both hold the
+	// same angle bit for bit, NaN for a degenerate fit. Bare patterns
+	// cannot carry pins, so only the skip mask forces the general path.
+	// The up/down/flat expressions are score.ForKindAngle's, unwrapped
+	// because that function exceeds the inlining budget and this is the
+	// kernel's hottest loop; they MUST stay bit-for-bit in lockstep with
+	// ForKindAngle or shared and naive evaluation diverge
 	// (TestSharedEvalMatchesNaive pins this).
 	meta := ce.opts.chainMeta
 	if fk := meta.sigFast[sig]; fk != shape.PatNone && ce.skippedPrefix == nil {
-		_, angle, ok := ce.ctx.fitMemo.fit(ce.viz, i, j)
-		if !ok {
+		var angle float64
+		if ce.angles != nil {
+			angle = ce.angles[rangeIndex(i, j)]
+		} else {
+			_, angle, _ = ce.ctx.fitMemo.fit(ce.viz, i, j)
+		}
+		if math.IsNaN(angle) {
 			return score.WorstScore
 		}
 		switch fk {

@@ -81,12 +81,14 @@ type evalCtx struct {
 	ubChainUB      []float64
 	ubChainSet     []bool
 
-	// Tiling-bound scratch (tilingUpperBound): the fitted angle of every
-	// range of one candidate, packed by end point (fillRangeAngles), and the
-	// DP's two rows. batchRun.score fills the angles at most once per call,
-	// for the candidate it is scoring, and reads them only for that one.
-	tileAngle []float64
-	tileRows  []float64
+	// Tiling-bound state (tilingUpperBound) for one candidate: tile is the
+	// fitted angle of every range, packed by end point — the table the viz
+	// keeps (loadRangeAngles) or tileAngle, the scratch fillRangeAngles
+	// writes — and tileRows are the DP's two rows. batchRun.score loads the
+	// angles at most once per call, for the candidate it is scoring, and
+	// reads them only for that one.
+	tile, tileAngle []float64
+	tileRows        []float64
 
 	// SegmentTree scratch, overwritten by every treeRun: the flat node
 	// list, the entry slab (k² pointer-free entries per node), the node ids
@@ -127,6 +129,7 @@ func putEvalCtx(ec *evalCtx) {
 			c.units[i] = compiledUnit{}
 		}
 		c.units = c.units[:0]
+		c.tile = nil
 	}
 	ctxPool.Put(ec)
 }

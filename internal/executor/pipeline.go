@@ -187,9 +187,10 @@ func (r *batchRun) bound(ec *evalCtx, v *Viz, id int32, s []slot) float64 {
 // score evaluates v for every query whose live floor its recorded bound
 // reaches (every query when pruning is off), raising that query's floor.
 // Where the tiling bound applies it gets the last word before the exact
-// evaluation: the range-angle table is filled for v by the first query
-// that needs it and serves the batch's other queries for v only, and a
-// query it prunes records it in the slot, below the cheap bound it
+// evaluation: v's range angles are loaded by the first query that needs
+// them — v's kept table once v has been searched before, else a scratch
+// fill (loadRangeAngles) — and serve the batch's other queries for v only,
+// and a query it prunes records it in the slot, below the cheap bound it
 // tightens. The score/fit memo reset is consumed by the first query
 // actually evaluated and the memos then stay live across the remaining
 // queries, so every (signature, range) score and range fit is computed
@@ -207,7 +208,7 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	}
 	prune := r.plans[0].prune
 	resetMemo := true
-	angles := false // ec's range-angle table holds v's angles
+	angles := false // ec's tiling state holds v's range angles
 	for q, p := range r.plans {
 		if prune {
 			threshold := r.heaps[q].fastFloor() + p.opts.pruneThresholdBias
@@ -217,7 +218,7 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 				}
 				if tilingApplies(v, p.opts) {
 					if !angles {
-						ec.fillRangeAngles(v)
+						ec.loadRangeAngles(v)
 						angles = true
 					}
 					if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < threshold {

@@ -68,6 +68,15 @@ import (
 // mask (the exact path scores a range over a skipped point −1, which the
 // table does not know), and a chart no longer than tilingMaxPoints, the
 // cost rule below.
+//
+// The DP reads a table of the chart's n(n−1)/2 range angles. A chart's
+// first pruned run that needs it fills the table in per-worker scratch; a
+// chart searched again keeps it on the Viz from its second such run on
+// (loadRangeAngles), so a cached candidate set stops recomputing its atans
+// per request while a set searched once keeps nothing. A kept table holds
+// the scratch fill's angles bit for bit, so the containment argument above
+// is untouched. The exact path reads a kept table too: unitScore's
+// bare-pattern branch takes its angle from it in place of a fitMemo probe.
 
 // boundEps absorbs floating-point noise when comparing a bound against an
 // exactly-scored floor: a candidate is only dismissed when its bound is
@@ -442,7 +451,10 @@ func unitBounds(n *shape.Node, sLo, sHi float64, mayFail bool) (float64, float64
 // chain; median of 3 runs on a 2-vCPU Intel Xeon VM) measured the bound at
 // 0.21–0.30 of evalViz at 12 points, 0.37–0.42 at 16, 0.45–0.50 at 20,
 // 0.50–0.64 at 24, 0.62–0.87 at 32 and 1.6–3.4 past 40, where the tree's
-// width floor widens its leaves.
+// width floor widens its leaves. That is the cost on a chart's first run,
+// table included: a chart searched again keeps its table (loadRangeAngles)
+// and pays only the DP, which would let the cap grow for reused charts.
+// It stays at 20, the rule measured on a first use.
 const tilingMaxPoints = 20
 
 // tilingApplies reports whether the tiling bound covers query o on v: every
@@ -452,15 +464,50 @@ func tilingApplies(v *Viz, o *Options) bool {
 	return o.chainMeta != nil && o.chainMeta.bare && v.Skipped == nil && v.N() <= tilingMaxPoints
 }
 
-// fillRangeAngles fills ec.tileAngle with the fitted angle of every range
-// [i, j], i < j, of v, packed by end point: range [i, j] sits at
-// j(j−1)/2 + i, so the ranges ending at j form one contiguous row. Each
-// entry repeats segstat.Stats.Slope over v.Prefix.Range(i, j+1) operation
-// for operation, its degenerate rule included, then math.Atan: it is the
-// angle fitMemo.fit caches, bit for bit, and NaN for a degenerate fit.
+// loadRangeAngles readies v's range angles for tilingUpperBound; the
+// per-candidate step calls it once per pruned run whose tiling tier needs
+// them. The first such run fills ec's scratch (fillRangeAngles), so a
+// candidate set searched once keeps nothing. The second builds a fresh
+// table and publishes it on v, and every later run reads that table
+// without computing an atan: the gate is an observed reuse. Runs racing to
+// publish build equal tables, and whichever lands first stays.
+func (ec *evalCtx) loadRangeAngles(v *Viz) {
+	angles := v.keptRangeAngles()
+	if angles == nil {
+		if v.tileRuns.Add(1) < 2 {
+			ec.fillRangeAngles(v)
+			return
+		}
+		n := v.N()
+		kept := make([]float64, n*(n-1)/2)
+		writeRangeAngles(v, kept)
+		v.angles.CompareAndSwap(nil, &kept)
+		angles = v.keptRangeAngles()
+	}
+	ec.tile = angles
+}
+
+// fillRangeAngles writes v's range angles into ec's scratch table, the
+// one tilingUpperBound then reads.
 func (ec *evalCtx) fillRangeAngles(v *Viz) {
 	n := v.N()
-	angles := grow(&ec.tileAngle, n*(n-1)/2)
+	ec.tile = grow(&ec.tileAngle, n*(n-1)/2)
+	writeRangeAngles(v, ec.tile)
+}
+
+// rangeIndex is the position of range [i, j], i < j, in a range-angle
+// table: tables are packed by end point, so the ranges ending at j form
+// one contiguous row from rangeIndex(0, j).
+func rangeIndex(i, j int) int { return j*(j-1)/2 + i }
+
+// writeRangeAngles writes the fitted angle of every range [i, j], i < j,
+// of v into angles at rangeIndex(i, j), one end point's row after the
+// other. Each entry repeats segstat.Stats.Slope over
+// v.Prefix.Range(i, j+1) operation for operation, its degenerate rule
+// included, then math.Atan: it is the angle fitMemo.fit caches, bit for
+// bit, and NaN for a degenerate fit.
+func writeRangeAngles(v *Viz, angles []float64) {
+	n := v.N()
 	p := v.Prefix
 	at := 0
 	for j := 1; j < n; j++ {
@@ -485,14 +532,14 @@ func (ec *evalCtx) fillRangeAngles(v *Viz) {
 }
 
 // tilingUpperBound is the second bound tier, for a query and chart
-// tilingApplies accepts, read from the range angles fillRangeAngles left in
-// ec for v. Per alternative it is the best Σ w_t·f_t over every tiling of
-// [0, n−1] into the chain's k units, each at least the solver's width floor
-// wide, where f_t is the unit's score of its range angle (−1 for a
-// degenerate fit, as in unitScore). The sum runs in unit order from 0, as
-// scoreRanges' does, so on the tiling the SegmentTree returns it equals the
-// exact score bit for bit. The bound is the max over alternatives and never
-// below the −1 an infeasible segmentation scores.
+// tilingApplies accepts, read from the range angles ec holds for v
+// (loadRangeAngles or fillRangeAngles). Per alternative it is the best
+// Σ w_t·f_t over every tiling of [0, n−1] into the chain's k units, each at
+// least the solver's width floor wide, where f_t is the unit's score of its
+// range angle (−1 for a degenerate fit, as in unitScore). The sum runs in
+// unit order from 0, as scoreRanges' does, so on the tiling the SegmentTree
+// returns it equals the exact score bit for bit. The bound is the max over
+// alternatives and never below the −1 an infeasible segmentation scores.
 func tilingUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) float64 {
 	meta := o.chainMeta
 	n := v.N()
@@ -517,7 +564,7 @@ func tilingUpperBound(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options) fl
 				pLo = n - 1
 			}
 			for p := pLo; p <= pHi; p++ {
-				row := ec.tileAngle[p*(p-1)/2 : p*(p+1)/2] // ranges [q, p]
+				row := ec.tile[rangeIndex(0, p):rangeIndex(0, p+1)] // ranges [q, p]
 				qLo, qHi := t*span, p-span
 				if t == 0 {
 					qHi = 0

@@ -9,6 +9,7 @@ package executor
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"shapesearch/internal/dataset"
 	"shapesearch/internal/segstat"
@@ -51,6 +52,15 @@ type Viz struct {
 	// searches pay for them): see pruneSlopeStats.
 	pruneOnce sync.Once
 	pstats    pruneStats
+
+	// The tiling bound's range-angle table, kept once the chart is searched
+	// again (see loadRangeAngles). tileRuns counts the pruned runs whose
+	// tiling tier needed v's angles while v kept none. angles, once
+	// published, holds them in fillRangeAngles' packed layout: a fresh
+	// copy, never written again, so any worker may read it without a lock.
+	// An append builds new Vizs, so a patched chart starts over at zero.
+	tileRuns atomic.Int32
+	angles   atomic.Pointer[[]float64]
 }
 
 // pruneStats is the per-visualization state the sound pruning bound reads:
@@ -270,6 +280,15 @@ func (v *Viz) boundSummary() *shapeindex.Summary {
 		MayFail:    v.Skipped != nil || math.IsInf(ps.ratio, 1),
 		UpDown:     sketch.Directions(v.NX, v.NY, indexPAAWindows),
 	}
+}
+
+// keptRangeAngles returns the range-angle table v keeps, or nil while it
+// keeps none. The caller must not write to it.
+func (v *Viz) keptRangeAngles() []float64 {
+	if t := v.angles.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
 // yRange reports the min and max of the raw y values (memoized).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -330,7 +331,11 @@ func TestTilingBoundDominatesExact(t *testing.T) {
 // bare query from tilingQueries and a width floor, and demands the tiling
 // bound dominate the exact score with no margin beyond boundEps and never
 // fall below −1. Bit 0 of the flags byte skips z-normalization, so
-// non-finite values reach the range sums.
+// non-finite values reach the range sums. Where the tier applies, the chart
+// then runs twice through loadRangeAngles, as two pruned runs would: the
+// first pass fills scratch, the second keeps the table and reads it, and
+// the kept table, the tiling bound and evalViz's score and ranges must
+// equal the first pass's bit for bit.
 func FuzzTilingBound(f *testing.F) {
 	f.Add([]byte{0, 13, 0, 1, 10, 1, 20, 1, 5, 1, 30, 1, 0, 1, 12})
 	f.Add([]byte{7, 0, 0, 0, 1, 1, 2, 0, 3, 1, 4, 1, 3, 0, 2, 1, 1})
@@ -380,6 +385,33 @@ func FuzzTilingBound(f *testing.F) {
 		if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < exact-boundEps || tb < -1 {
 			t.Fatalf("%q frac=%v x=%v y=%v: tiling bound %.17g, exact score %.17g",
 				query, opts.MinSegmentFrac, xs, ys, tb, exact)
+		}
+		if n > tilingMaxPoints {
+			return
+		}
+		ec.loadRangeAngles(v) // first use: scratch
+		if v.keptRangeAngles() != nil {
+			t.Fatalf("%q x=%v y=%v: a table is kept after one run", query, xs, ys)
+		}
+		angles := slices.Clone(ec.tile)
+		tb := tilingUpperBound(ec, v, p.norm, p.opts)
+		sc, ranges := evalViz(ec, v, p.norm, p.opts, treeRun)
+		ec.loadRangeAngles(v) // reuse: keeps the table and reads it
+		kept := v.keptRangeAngles()
+		if len(kept) != len(angles) {
+			t.Fatalf("%q x=%v y=%v: kept %d angles, want %d", query, xs, ys, len(kept), len(angles))
+		}
+		for r := range angles {
+			if math.Float64bits(kept[r]) != math.Float64bits(angles[r]) {
+				t.Fatalf("%q x=%v y=%v range %d: kept angle %v, first pass %v", query, xs, ys, r, kept[r], angles[r])
+			}
+		}
+		if keptTB := tilingUpperBound(ec, v, p.norm, p.opts); math.Float64bits(keptTB) != math.Float64bits(tb) {
+			t.Fatalf("%q x=%v y=%v: tiling bound %.17g over the kept table, %.17g first", query, xs, ys, keptTB, tb)
+		}
+		if keptSc, keptRanges := evalViz(ec, v, p.norm, p.opts, treeRun); math.Float64bits(keptSc) != math.Float64bits(sc) || !slices.Equal(keptRanges, ranges) {
+			t.Fatalf("%q x=%v y=%v: evalViz %.17g %v over the kept table, %.17g %v first",
+				query, xs, ys, keptSc, keptRanges, sc, ranges)
 		}
 	})
 }

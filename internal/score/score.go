@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"shapesearch/internal/shape"
@@ -459,8 +460,10 @@ type Registry struct {
 // NewRegistry returns an empty UDP registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register installs (or replaces) a named pattern. It returns an error for
-// empty names or nil functions.
+// Register installs (or replaces) a named pattern. Names are
+// case-insensitive: Register folds name to lower case, as the regex lexer
+// folds every identifier, so "MyShape" is found by [p=MyShape] and
+// [p=myshape] alike. It returns an error for empty names or nil functions.
 func (r *Registry) Register(name string, fn UDPFunc) error {
 	if name == "" {
 		return fmt.Errorf("score: UDP name must not be empty")
@@ -473,19 +476,20 @@ func (r *Registry) Register(name string, fn UDPFunc) error {
 	if r.fns == nil {
 		r.fns = make(map[string]UDPFunc)
 	}
-	r.fns[name] = fn
+	r.fns[strings.ToLower(name)] = fn
 	return nil
 }
 
-// Lookup retrieves a named pattern.
+// Lookup retrieves a named pattern, folding name to lower case as
+// Register does.
 func (r *Registry) Lookup(name string) (UDPFunc, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	fn, ok := r.fns[name]
+	fn, ok := r.fns[strings.ToLower(name)]
 	return fn, ok
 }
 
-// Names lists registered pattern names in sorted order.
+// Names lists registered pattern names, lower-cased, in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

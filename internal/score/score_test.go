@@ -397,6 +397,15 @@ func TestRegistry(t *testing.T) {
 	if len(names) != 2 || names[0] != "peak" || names[1] != "valley" {
 		t.Errorf("Names = %v", names)
 	}
+	// Names fold to lower case on both sides, as the regex lexer folds
+	// identifiers: re-registering "Valley" replaces "valley".
+	r.Register("Valley", func(xs, ys []float64) float64 { return -0.25 })
+	if fn, ok := r.Lookup("VALLEY"); !ok || fn(nil, nil) != -0.25 {
+		t.Fatal("case-folded lookup failed")
+	}
+	if names := r.Names(); len(names) != 2 || names[1] != "valley" {
+		t.Errorf("Names after re-registering Valley = %v", names)
+	}
 }
 
 func TestClamp(t *testing.T) {

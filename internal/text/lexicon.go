@@ -150,18 +150,29 @@ func SemanticSimilarity(a, b string) float64 {
 // semantic similarity wins, provided it is positive.
 func MatchValue(word string, candidates []EntityValue) (EntityValue, bool) {
 	word = normalizeWord(word)
+	stem := Stem(word)
 	bestVal, bestDist := EntityValue(""), 1e9
 	bestRawVal, bestRaw := EntityValue(""), 1<<30
 	for _, v := range candidates {
 		for _, syn := range synonyms[v] {
-			d := NormalizedEditDistance(word, syn)
+			// The first pair at distance 0 wins: no later pair can beat
+			// it, so the scan stops there.
+			r := EditDistance(word, syn)
+			d := normalizeDistance(r, word, syn)
+			if d == 0 {
+				return v, true
+			}
 			if d < bestDist {
 				bestDist, bestVal = d, v
 			}
-			if sd := NormalizedEditDistance(Stem(word), Stem(syn)); sd < bestDist {
+			sd := NormalizedEditDistance(stem, Stem(syn))
+			if sd == 0 {
+				return v, true
+			}
+			if sd < bestDist {
 				bestDist, bestVal = sd, v
 			}
-			if r := EditDistance(word, syn); r < bestRaw {
+			if r < bestRaw {
 				bestRaw, bestRawVal = r, v
 			}
 		}

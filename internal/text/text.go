@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is one lexical unit of a natural-language query.
@@ -63,20 +64,30 @@ func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 
 func isWordRune(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 
+// editMaxStack is the longest word, in runes, whose edit distance runs on
+// stack buffers only; the lexicon's longest word has 14 runes. Longer words
+// take heap buffers and give the same distance.
+const editMaxStack = 32
+
 // EditDistance computes the Levenshtein distance between two strings.
 func EditDistance(a, b string) int {
 	if a == b {
 		return 0
 	}
-	ra, rb := []rune(a), []rune(b)
+	var bufA, bufB [editMaxStack]rune
+	ra, rb := appendRunes(bufA[:0], a), appendRunes(bufB[:0], b)
 	if len(ra) == 0 {
 		return len(rb)
 	}
 	if len(rb) == 0 {
 		return len(ra)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	var rows [2 * (editMaxStack + 1)]int
+	prev, cur := rows[:editMaxStack+1], rows[editMaxStack+1:]
+	if len(rb) > editMaxStack {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
+	prev, cur = prev[:len(rb)+1], cur[:len(rb)+1]
 	for j := range prev {
 		prev[j] = j
 	}
@@ -94,14 +105,28 @@ func EditDistance(a, b string) int {
 	return prev[len(rb)]
 }
 
+// appendRunes appends the runes of s to dst, as []rune(s) decodes them.
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // NormalizedEditDistance is the edit distance divided by the average length
 // of the two words, the paper's matching measure.
 func NormalizedEditDistance(a, b string) float64 {
-	avg := float64(len([]rune(a))+len([]rune(b))) / 2
+	return normalizeDistance(EditDistance(a, b), a, b)
+}
+
+// normalizeDistance divides edit distance d of a and b by their average
+// length in runes (0 when both are empty).
+func normalizeDistance(d int, a, b string) float64 {
+	avg := float64(utf8.RuneCountInString(a)+utf8.RuneCountInString(b)) / 2
 	if avg == 0 {
 		return 0
 	}
-	return float64(EditDistance(a, b)) / avg
+	return float64(d) / avg
 }
 
 // Stem strips common inflection suffixes (a deliberately light stemmer:

@@ -121,6 +121,42 @@ func TestPublicAPIUDP(t *testing.T) {
 	}
 }
 
+// TestUDPNameCaseInsensitive: the regex lexer lower-cases identifiers, so a
+// pattern registered as "MyShape" must be found by [p=MyShape] and
+// [p=myshape] alike, and score every chart with the registered function.
+func TestUDPNameCaseInsensitive(t *testing.T) {
+	opts := shapesearch.DefaultOptions()
+	opts.UDPs = shapesearch.NewUDPRegistry()
+	// The score is the chart's last y over 10, so the ranking and every
+	// score show the UDP ran.
+	if err := opts.UDPs.Register("MyShape", func(_, ys []float64) float64 { return ys[len(ys)-1] / 10 }); err != nil {
+		t.Fatal(err)
+	}
+	series := []shapesearch.Series{
+		{Z: "low", X: []float64{0, 1, 2, 3}, Y: []float64{0, 1, 2, 1}},
+		{Z: "high", X: []float64{0, 1, 2, 3}, Y: []float64{0, 1, 2, 7}},
+		{Z: "mid", X: []float64{0, 1, 2, 3}, Y: []float64{5, 1, 2, 4}},
+	}
+	for _, q := range []string{"[p=MyShape]", "[p=myshape]"} {
+		res, err := shapesearch.SearchSeriesContext(context.Background(), series, shapesearch.MustParseRegex(q), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want := []struct {
+			z     string
+			score float64
+		}{{"high", 0.7}, {"mid", 0.4}, {"low", 0.1}}
+		if len(res) != len(want) {
+			t.Fatalf("%s: %d results, want %d", q, len(res), len(want))
+		}
+		for i, w := range want {
+			if res[i].Z != w.z || res[i].Score != w.score {
+				t.Fatalf("%s: result %d is %s at %v, want %s at %v", q, i, res[i].Z, res[i].Score, w.z, w.score)
+			}
+		}
+	}
+}
+
 func TestTrainNLTagger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
