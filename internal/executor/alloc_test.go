@@ -33,7 +33,6 @@ func allocSeries(n, points int) []dataset.Series {
 // back in; the 64-series budget, two objects per candidate, would fail if a
 // second object per candidate did (a per-candidate Result did).
 func TestSteadyStateAllocs(t *testing.T) {
-	const points = 120
 	sizes := []struct{ nSeries, budget int }{
 		// Per run: slots/heap/result bookkeeping plus the escaping slices.
 		// 10 × nSeries is an order of magnitude below the pre-pooling
@@ -47,24 +46,31 @@ func TestSteadyStateAllocs(t *testing.T) {
 		name    string
 		a       Algorithm
 		pruning bool
-	}{{"DP", AlgDP, false}, {"SegmentTree", AlgSegmentTree, false},
+		query   string
+		points  int
+	}{{"DP", AlgDP, false, "u ; d ; u", 120}, {"SegmentTree", AlgSegmentTree, false, "u ; d ; u", 120},
 		// The pruned pipeline's per-candidate bound check must be free in
 		// steady state: slope stats are memoized on the Viz (filled during
 		// warm-up) and the pin/run scratch lives on the pooled evalCtx.
 		// Only per-run bookkeeping (slots, order, heaps) may allocate,
 		// and that is covered by the same budget.
-		{"SegmentTreePruned", AlgSegmentTree, true}} {
+		{"SegmentTreePruned", AlgSegmentTree, true, "u ; d ; u", 120},
+		// A query whose signatures all occur once runs with the score memo
+		// off, over charts short enough to keep their range-angle tables:
+		// the warm-up's second run (AllocsPerRun's own) builds every table
+		// once, and the steady state reads them, allocating no more.
+		{"MemoOffKeptAngles", AlgSegmentTree, false, "u ; d", keptAnglesMaxPoints}} {
 		t.Run(alg.name, func(t *testing.T) {
 			opts := seqOpts()
 			opts.Algorithm = alg.a
 			opts.Pruning = alg.pruning
-			plan, err := Compile(regexlang.MustParse("u ; d ; u"), opts)
+			plan, err := Compile(regexlang.MustParse(alg.query), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, size := range sizes {
 				t.Run(fmt.Sprintf("series=%d", size.nSeries), func(t *testing.T) {
-					vizs := plan.GroupSeries(allocSeries(size.nSeries, points))
+					vizs := plan.GroupSeries(allocSeries(size.nSeries, alg.points))
 					if len(vizs) != size.nSeries {
 						t.Fatalf("grouped %d vizs, want %d", len(vizs), size.nSeries)
 					}
@@ -80,6 +86,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 					t.Logf("%.0f allocations per run", avg)
 					if avg > float64(size.budget) {
 						t.Errorf("steady-state RunGrouped allocates %.0f objects per run, budget %d", avg, size.budget)
+					}
+					if alg.points <= keptAnglesMaxPoints {
+						if alg.a != AlgSegmentTree || plan.opts.chainMeta.memoOn {
+							t.Fatalf("%q: want a memo-off SegmentTree query", alg.query)
+						}
+						for i, v := range vizs {
+							if v.keptRangeAngles() == nil {
+								t.Fatalf("viz %d keeps no range-angle table after %d runs", i, v.angleRuns.Load())
+							}
+						}
 					}
 				})
 			}

@@ -36,7 +36,11 @@ type chainMeta struct {
 	order []int
 	// memoOn reports whether any memo-eligible signature occurs more than
 	// once across (alternative, slot) contexts — the only case where the
-	// memo can pay for its probes.
+	// per-signature score memo can pay for its probes. It gates that memo
+	// alone: bare-pattern units take their range angle from the viz's kept
+	// table or the fit memo either way (unitScore), and non-bare patterns
+	// share the fit memo, so a query whose signatures all occur once
+	// (u ; d) still fits and atans each range at most once per candidate.
 	memoOn bool
 	// nSigs is the number of distinct unit signatures.
 	nSigs int
@@ -44,8 +48,9 @@ type chainMeta struct {
 	// segment with only an unmodified up/down/flat/θ/*/empty pattern (no
 	// location, sketch, or modifier). Their score is a fixed function of
 	// the range's fitted angle, so unitScore serves them straight from the
-	// per-candidate fit memo (shared across signatures) with no per-sig
-	// score memo traffic. PatNone marks signatures that are not fast.
+	// viz's range angles or the per-candidate fit memo (shared across
+	// signatures) with no per-sig score memo traffic. PatNone marks
+	// signatures that are not fast.
 	sigFast []shape.PatternKind
 	// sigFastTarget is the θ target for fast PatSlope signatures.
 	sigFastTarget []float64
@@ -54,6 +59,9 @@ type chainMeta struct {
 	// skip-free chart is then a fixed function of the range angles its
 	// segmentation picks, which is what the tiling bound (prune.go) needs.
 	bare bool
+	// fast reports that some unit of this query is a bare pattern, so its
+	// exact evaluation reads range angles (anglesApply).
+	fast bool
 	// nBoundGroups is the number of distinct pin-free chain-bound groups.
 	nBoundGroups int
 }
@@ -180,7 +188,9 @@ func (st *sigIntern) finalize(ms ...*chainMeta) {
 		m.bare = true
 		for _, am := range m.alts {
 			for _, sig := range am.bsigs {
-				m.bare = m.bare && st.sigFast[sig] != shape.PatNone
+				isFast := st.sigFast[sig] != shape.PatNone
+				m.bare = m.bare && isFast
+				m.fast = m.fast || isFast
 			}
 		}
 	}
@@ -243,9 +253,11 @@ func boundGroupKey(bsigs []int, units []shape.Unit) string {
 	return sb.String()
 }
 
-// memoUsable reports whether the per-candidate unit-score memo can key this
+// memoUsable reports whether the per-candidate memos can key this
 // visualization: the packed (sig, i, j) key reserves 16 bits for the
-// signature and 24 per range endpoint.
+// signature and 24 per range endpoint. Where they cannot, evaluation runs
+// without signatures (evalVizShared); memoOn decides only whether the
+// score memo is probed.
 func (m *chainMeta) memoUsable(n int) bool {
-	return m.memoOn && n < 1<<24 && m.nSigs < 1<<16
+	return n < 1<<24 && m.nSigs < 1<<16
 }

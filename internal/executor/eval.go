@@ -31,9 +31,11 @@ type chainEval struct {
 	// plan metadata, nested sub-queries, units containing POSITION
 	// references carry −1 individually). See Options.chainMeta.
 	sigs []int
-	// angles is the range-angle table the viz keeps (loadRangeAngles),
-	// nil when it keeps none or has a skip mask; bare-pattern units read
-	// their range angle from it instead of probing fitMemo.
+	// angles holds the viz's range angles when the viz keeps a table
+	// (countAngleRun) or the context holds a tiling-tier fill for it
+	// (evalCtx.rangeAngles); nil otherwise, and always under a skip mask.
+	// Bare-pattern units read their range angle from it instead of
+	// probing fitMemo.
 	angles []float64
 	// tolX and tolY are the location-satisfaction tolerances.
 	tolX, tolY float64
@@ -71,9 +73,10 @@ func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) *chainEval 
 
 // compileAlt is compile with the alternative's plan-compiled metadata: the
 // pinned x endpoints hoisted out of the per-candidate path (no per-unit
-// tree walks) and the signature ids that key the unit-score memo. A nil
-// altMeta — the naive loop, and nested sub-query chains — falls back to
-// walking the units, with memoization off.
+// tree walks), the signature ids that key the memos, and the viz's range
+// angles where the viz or the context holds them. A nil altMeta — the
+// naive loop, and nested sub-query chains — falls back to walking the
+// units, with memoization off.
 func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altMeta) *chainEval {
 	ce := &ec.ce
 	*ce = chainEval{ctx: ec, viz: v, chain: chain, opts: opts}
@@ -87,7 +90,7 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 	if am != nil {
 		ce.sigs = am.sigs
 		if ce.skippedPrefix == nil {
-			ce.angles = v.keptRangeAngles()
+			ce.angles = ec.rangeAngles(v)
 		}
 	}
 	ec.units = ec.units[:0]
@@ -138,13 +141,14 @@ func (ce *chainEval) anySkipped(i, j int) bool {
 // unitScore scores unit t over the inclusive point range [i, j].
 //
 // For units carrying a signature id the result is memoized per candidate on
-// the context's scoreMemo: a unit's score is a pure function of its node
-// structure and the range (pins, tolerances and the skip mask all derive
-// from the same viz), so alternatives sharing a unit — or one chain using
-// the same pattern twice — compute each (signature, range) score once.
-// Units containing POSITION references are position-dependent and carry
-// signature −1 (never memoized); refSlopes-bound re-scoring is therefore
-// also safe to memoize, since non-POSITION scores ignore refSlopes.
+// the context's scoreMemo when the plan's memoOn says some signature recurs:
+// a unit's score is a pure function of its node structure and the range
+// (pins, tolerances and the skip mask all derive from the same viz), so
+// alternatives sharing a unit — or one chain using the same pattern twice —
+// compute each (signature, range) score once. Units containing POSITION
+// references are position-dependent and carry signature −1 (never
+// memoized); refSlopes-bound re-scoring is therefore also safe to memoize,
+// since non-POSITION scores ignore refSlopes.
 func (ce *chainEval) unitScore(t, i, j int) float64 {
 	if j <= i || i < 0 || j >= ce.viz.N() {
 		return score.WorstScore
@@ -156,12 +160,13 @@ func (ce *chainEval) unitScore(t, i, j int) float64 {
 	if sig < 0 {
 		return ce.unitScoreSlow(t, i, j)
 	}
-	// Bare-pattern units score straight off the range angle: one read of
-	// the viz's kept range-angle table, or else one probe on the fit memo
-	// (shared across signatures — u and d over one range use the same fit
-	// and atan), and no per-signature score memo traffic. Both hold the
-	// same angle bit for bit, NaN for a degenerate fit. Bare patterns
-	// cannot carry pins, so only the skip mask forces the general path.
+	// Bare-pattern units score straight off the range angle, memoOn or
+	// not: one read of the viz's range-angle table, or else one probe on
+	// the fit memo (shared across signatures — u and d over one range use
+	// the same fit and atan), and no per-signature score memo traffic. Both
+	// hold the same angle bit for bit, NaN for a degenerate fit. Bare
+	// patterns cannot carry pins, so only the skip mask forces the general
+	// path.
 	// The up/down/flat expressions are score.ForKindAngle's, unwrapped
 	// because that function exceeds the inlining budget and this is the
 	// kernel's hottest loop; they MUST stay bit-for-bit in lockstep with
@@ -192,6 +197,9 @@ func (ce *chainEval) unitScore(t, i, j int) float64 {
 		default: // PatSlope
 			return score.ForKindAngle(fk, angle, meta.sigFastTarget[sig])
 		}
+	}
+	if !meta.memoOn {
+		return ce.unitScoreSlow(t, i, j)
 	}
 	key := uint64(sig)<<48 | uint64(i)<<24 | uint64(j)
 	v, slot, ok := ce.ctx.memo.getSlot(key)

@@ -81,13 +81,15 @@ type evalCtx struct {
 	ubChainUB      []float64
 	ubChainSet     []bool
 
-	// Tiling-bound state (tilingUpperBound) for one candidate: tile is the
-	// fitted angle of every range, packed by end point — the table the viz
-	// keeps (loadRangeAngles) or tileAngle, the scratch fillRangeAngles
-	// writes — and tileRows are the DP's two rows. batchRun.score loads the
-	// angles at most once per call, for the candidate it is scoring, and
-	// reads them only for that one.
+	// Tiling-bound state (tilingUpperBound): tile is the fitted angle of
+	// every range of tileViz, packed by end point — the table tileViz keeps
+	// (loadRangeAngles) or tileAngle, the scratch fillRangeAngles writes —
+	// and tileRows are the DP's two rows. batchRun.score loads the angles
+	// at most once per call, for the candidate it is scoring. The angles
+	// are a function of tileViz alone (a Viz never changes after group), so
+	// the exact path may read them for that viz too (rangeAngles).
 	tile, tileAngle []float64
+	tileViz         *Viz
 	tileRows        []float64
 
 	// SegmentTree scratch, overwritten by every treeRun: the flat node
@@ -129,7 +131,7 @@ func putEvalCtx(ec *evalCtx) {
 			c.units[i] = compiledUnit{}
 		}
 		c.units = c.units[:0]
-		c.tile = nil
+		c.tile, c.tileViz = nil, nil
 	}
 	ctxPool.Put(ec)
 }

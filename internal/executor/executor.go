@@ -228,7 +228,8 @@ func evalViz(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSo
 // a candidate's first evaluated query only (batchRun.score), so later
 // queries of the same candidate share every (signature, range) score and
 // every range fit already computed — signature ids are batch-global, so
-// shared entries are exact for every query.
+// shared entries are exact for every query. Only a chart too long for the
+// memo keys evaluates without signatures, hence without either memo.
 func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve runSolver, resetMemo bool) (float64, [][2]int) {
 	meta := o.chainMeta
 	best := math.Inf(-1)
@@ -243,15 +244,15 @@ func evalVizShared(ec *evalCtx, v *Viz, norm shape.Normalized, o *Options, solve
 		}
 		return best, bestRanges
 	}
-	memoOK := meta.memoUsable(v.N())
-	if memoOK && resetMemo {
+	keysOK := meta.memoUsable(v.N())
+	if keysOK && resetMemo {
 		ec.memo.reset()
 		ec.fitMemo.reset()
 	}
 	bestAi := -1
 	for _, ai := range meta.order {
 		ce := ec.compileAlt(v, norm.Alternatives[ai], o, &meta.alts[ai])
-		if !memoOK {
+		if !keysOK {
 			ce.sigs = nil
 		}
 		res := solveChain(ce, solve)

@@ -1,11 +1,11 @@
 package executor
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -186,19 +186,21 @@ func (r *batchRun) bound(ec *evalCtx, v *Viz, id int32, s []slot) float64 {
 
 // score evaluates v for every query whose live floor its recorded bound
 // reaches (every query when pruning is off), raising that query's floor.
-// Where the tiling bound applies it gets the last word before the exact
-// evaluation: v's range angles are loaded by the first query that needs
-// them — v's kept table once v has been searched before, else a scratch
-// fill (loadRangeAngles) — and serve the batch's other queries for v only,
-// and a query it prunes records it in the slot, below the cheap bound it
-// tightens. The score/fit memo reset is consumed by the first query
-// actually evaluated and the memos then stay live across the remaining
-// queries, so every (signature, range) score and range fit is computed
-// once per candidate for the whole batch; a query that prunes the
-// candidate keeps its bound-carrying slot and must not consume the reset
-// (the memos would then carry the previous candidate's entries).
-// Evaluation itself cannot fail; score returns false only after recording
-// that v exceeds the exhaustive engine's size limit.
+// The first query whose tiling tier or exact evaluation needs v's range
+// angles counts the run against v (countAngleRun), so a chart searched
+// again keeps its table. Where the tiling bound applies it gets the last
+// word before the exact evaluation: v's range angles are loaded by the
+// first query that needs them — v's kept table, else a scratch fill
+// (loadRangeAngles) that the exact path then reads too — and serve the
+// batch's other queries for v only, and a query it prunes records it in
+// the slot, below the cheap bound it tightens. The score/fit memo reset is
+// consumed by the first query actually evaluated and the memos then stay
+// live across the remaining queries, so every (signature, range) score and
+// range fit is computed once per candidate for the whole batch; a query
+// that prunes the candidate keeps its bound-carrying slot and must not
+// consume the reset (the memos would then carry the previous candidate's
+// entries). Evaluation itself cannot fail; score returns false only after
+// recording that v exceeds the exhaustive engine's size limit.
 func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	o0 := r.plans[0].opts
 	if o0.Algorithm == AlgExhaustive && v.N() > o0.MaxExhaustivePoints {
@@ -208,24 +210,28 @@ func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	}
 	prune := r.plans[0].prune
 	resetMemo := true
-	angles := false // ec's tiling state holds v's range angles
+	counted := false // this run has counted against v's range angles
+	tiled := false   // ec's tiling state holds v's range angles
 	for q, p := range r.plans {
+		threshold := math.Inf(-1) // no floor yet, or no pruning
 		if prune {
-			threshold := r.heaps[q].fastFloor() + p.opts.pruneThresholdBias
-			if !math.IsInf(threshold, -1) {
-				if s[q].ub < threshold {
-					continue // stays recorded as pruned, with its bound
-				}
-				if tilingApplies(v, p.opts) {
-					if !angles {
-						ec.loadRangeAngles(v)
-						angles = true
-					}
-					if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < threshold {
-						s[q].ub = tb // tighter than the cheap bound
-						continue
-					}
-				}
+			threshold = r.heaps[q].fastFloor() + p.opts.pruneThresholdBias
+			if s[q].ub < threshold {
+				continue // stays recorded as pruned, with its bound
+			}
+		}
+		if !counted && anglesApply(v, p.opts) {
+			v.countAngleRun()
+			counted = true
+		}
+		if !math.IsInf(threshold, -1) && tilingApplies(v, p.opts) {
+			if !tiled {
+				ec.loadRangeAngles(v)
+				tiled = true
+			}
+			if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < threshold {
+				s[q].ub = tb // tighter than the cheap bound
+				continue
 			}
 		}
 		sc, ranges := evalVizShared(ec, v, p.norm, p.opts, p.solver, resetMemo)
@@ -310,12 +316,12 @@ func topK(slots []slot, q, Q, k int) []Result {
 			idx = append(idx, j)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := &slots[idx[a]], &slots[idx[b]]
-		if sa.score != sb.score {
-			return sa.score > sb.score
+	slices.SortFunc(idx, func(a, b int) int {
+		sa, sb := &slots[a], &slots[b]
+		if c := cmp.Compare(sb.score, sa.score); c != 0 {
+			return c
 		}
-		return sa.id < sb.id
+		return cmp.Compare(sa.id, sb.id)
 	})
 	if len(idx) > k {
 		idx = idx[:k]
@@ -404,12 +410,11 @@ func scan(ctx context.Context, plans []*Plan, n int, viz func(int) *Viz) ([][]Re
 		if err != nil {
 			return nil, err
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ua, ub := maxUB[order[a]], maxUB[order[b]]
-			if ua != ub {
-				return ua > ub
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(maxUB[b], maxUB[a]); c != 0 {
+				return c
 			}
-			return order[a] < order[b]
+			return cmp.Compare(a, b)
 		})
 	}
 	err := forEachIndex(ctx, len(r.ecs), n, func(worker, j int) {
@@ -503,12 +508,11 @@ func traverse(ctx context.Context, plans []*Plan, ix *VizIndex, st *IndexStats) 
 					keys = append(keys, r.bound(ec, v, id, slots[len(slots)-Q:]))
 				}
 				blocks = append(blocks, slots)
-				sort.Slice(order, func(a, b int) bool {
-					ka, kb := keys[order[a]], keys[order[b]]
-					if ka != kb {
-						return ka > kb
+				slices.SortFunc(order, func(a, b int) int {
+					if c := cmp.Compare(keys[b], keys[a]); c != 0 {
+						return c
 					}
-					return slots[order[a]*Q].id < slots[order[b]*Q].id
+					return cmp.Compare(slots[a*Q].id, slots[b*Q].id)
 				})
 				for _, m := range order {
 					s := slots[m*Q : (m+1)*Q]

@@ -70,13 +70,18 @@ import (
 // cost rule below.
 //
 // The DP reads a table of the chart's n(n−1)/2 range angles. A chart's
-// first pruned run that needs it fills the table in per-worker scratch; a
-// chart searched again keeps it on the Viz from its second such run on
-// (loadRangeAngles), so a cached candidate set stops recomputing its atans
-// per request while a set searched once keeps nothing. A kept table holds
-// the scratch fill's angles bit for bit, so the containment argument above
-// is untouched. The exact path reads a kept table too: unitScore's
-// bare-pattern branch takes its angle from it in place of a fitMemo probe.
+// first run that needs it fills the table in per-worker scratch; a chart
+// searched again keeps it on the Viz from the second run that needs its
+// angles on (countAngleRun), so a cached candidate set stops recomputing
+// its atans per request while a set searched once keeps nothing. A kept
+// table holds the scratch fill's angles bit for bit, so the containment
+// argument above is untouched. The exact path reads the same angles:
+// unitScore's bare-pattern branch takes its angle from the kept table, or
+// from the tier's scratch fill in the run that made it, in place of a
+// fitMemo probe. Its runs count toward keeping a table too, on charts of up
+// to keptAnglesMaxPoints, past the tier's cap, and for queries the tier
+// declines, so single-signature queries and 32-point charts stop refitting
+// every range on every request.
 
 // boundEps absorbs floating-point noise when comparing a bound against an
 // exactly-scored floor: a candidate is only dismissed when its bound is
@@ -452,10 +457,19 @@ func unitBounds(n *shape.Node, sLo, sHi float64, mayFail bool) (float64, float64
 // 0.21–0.30 of evalViz at 12 points, 0.37–0.42 at 16, 0.45–0.50 at 20,
 // 0.50–0.64 at 24, 0.62–0.87 at 32 and 1.6–3.4 past 40, where the tree's
 // width floor widens its leaves. That is the cost on a chart's first run,
-// table included: a chart searched again keeps its table (loadRangeAngles)
-// and pays only the DP, which would let the cap grow for reused charts.
-// It stays at 20, the rule measured on a first use.
+// table included. A chart searched again keeps its table (countAngleRun,
+// up to keptAnglesMaxPoints) and pays only the DP, which would let the cap
+// grow for reused charts; it stays at 20, the rule measured on a first
+// use.
 const tilingMaxPoints = 20
+
+// keptAnglesMaxPoints is the longest chart that keeps its range-angle
+// table. The memory rule: a table is n(n−1)/2 float64s, 3,968 B at 32
+// points, about 1.5× the ≈72n + 368 B the Viz already holds (3× at 64
+// points, growing linearly in n). A corpus searched repeatedly without
+// pruning keeps a table on every chart: ~40 MB for 10,000 charts of 32
+// points.
+const keptAnglesMaxPoints = 32
 
 // tilingApplies reports whether the tiling bound covers query o on v: every
 // unit of o is a bare pattern, no point of v is skipped, and v is short
@@ -464,35 +478,64 @@ func tilingApplies(v *Viz, o *Options) bool {
 	return o.chainMeta != nil && o.chainMeta.bare && v.Skipped == nil && v.N() <= tilingMaxPoints
 }
 
-// loadRangeAngles readies v's range angles for tilingUpperBound; the
-// per-candidate step calls it once per pruned run whose tiling tier needs
-// them. The first such run fills ec's scratch (fillRangeAngles), so a
-// candidate set searched once keeps nothing. The second builds a fresh
-// table and publishes it on v, and every later run reads that table
-// without computing an atan: the gate is an observed reuse. Runs racing to
-// publish build equal tables, and whichever lands first stays.
-func (ec *evalCtx) loadRangeAngles(v *Viz) {
-	angles := v.keptRangeAngles()
-	if angles == nil {
-		if v.tileRuns.Add(1) < 2 {
-			ec.fillRangeAngles(v)
-			return
-		}
-		n := v.N()
-		kept := make([]float64, n*(n-1)/2)
-		writeRangeAngles(v, kept)
-		v.angles.CompareAndSwap(nil, &kept)
-		angles = v.keptRangeAngles()
+// anglesApply reports whether query o's exact evaluation of v reads v's
+// range angles, so that the run counts toward v keeping a table: o has a
+// bare-pattern unit, no point of v is skipped, and v has at most
+// keptAnglesMaxPoints points. Wherever tilingApplies holds, so does this.
+func anglesApply(v *Viz, o *Options) bool {
+	return o.chainMeta != nil && o.chainMeta.fast && v.Skipped == nil && v.N() <= keptAnglesMaxPoints
+}
+
+// countAngleRun counts one run that needs v's range angles, for the tiling
+// tier or the exact path, until v keeps a table. The per-candidate step
+// calls it at most once per candidate and run, for a chart anglesApply
+// accepts. The first such run keeps nothing, so a candidate set searched
+// once costs no memory. The second builds a fresh table and publishes it
+// on v, and every later run reads that table without computing an atan:
+// the gate is an observed reuse. Runs racing to publish build equal
+// tables, and whichever lands first stays.
+func (v *Viz) countAngleRun() {
+	if v.angles.Load() != nil || v.angleRuns.Add(1) < 2 {
+		return
 	}
-	ec.tile = angles
+	n := v.N()
+	kept := make([]float64, n*(n-1)/2)
+	writeRangeAngles(v, kept)
+	v.angles.CompareAndSwap(nil, &kept)
+}
+
+// loadRangeAngles readies v's range angles for tilingUpperBound: the table
+// v keeps, or else a fill of ec's scratch (fillRangeAngles). It counts no
+// run; the per-candidate step counts first, so a run that makes v keep a
+// table reads that table here.
+func (ec *evalCtx) loadRangeAngles(v *Viz) {
+	if t := v.keptRangeAngles(); t != nil {
+		ec.tile, ec.tileViz = t, v
+		return
+	}
+	ec.fillRangeAngles(v)
 }
 
 // fillRangeAngles writes v's range angles into ec's scratch table, the
-// one tilingUpperBound then reads.
+// one tilingUpperBound then reads, and which the exact path reads in
+// place of fitMemo while ec holds it (rangeAngles).
 func (ec *evalCtx) fillRangeAngles(v *Viz) {
 	n := v.N()
 	ec.tile = grow(&ec.tileAngle, n*(n-1)/2)
+	ec.tileViz = v
 	writeRangeAngles(v, ec.tile)
+}
+
+// rangeAngles returns v's range angles where v or ec holds them, the table
+// v keeps or ec's scratch fill for v, and nil otherwise.
+func (ec *evalCtx) rangeAngles(v *Viz) []float64 {
+	if t := v.keptRangeAngles(); t != nil {
+		return t
+	}
+	if ec.tileViz == v {
+		return ec.tile
+	}
+	return nil
 }
 
 // rangeIndex is the position of range [i, j], i < j, in a range-angle

@@ -53,14 +53,18 @@ type Viz struct {
 	pruneOnce sync.Once
 	pstats    pruneStats
 
-	// The tiling bound's range-angle table, kept once the chart is searched
-	// again (see loadRangeAngles). tileRuns counts the pruned runs whose
-	// tiling tier needed v's angles while v kept none. angles, once
-	// published, holds them in fillRangeAngles' packed layout: a fresh
-	// copy, never written again, so any worker may read it without a lock.
-	// An append builds new Vizs, so a patched chart starts over at zero.
-	tileRuns atomic.Int32
-	angles   atomic.Pointer[[]float64]
+	// The chart's range-angle table, kept once the chart is searched again
+	// (see countAngleRun). angleRuns counts the runs whose tiling tier or
+	// exact path needed v's angles while v kept none; only a chart of at
+	// most keptAnglesMaxPoints points without a skip mask is counted.
+	// angles, published by the second such run, holds them in
+	// writeRangeAngles' packed layout: n(n−1)/2 float64s (3,968 B at 32
+	// points, about 1.5× the ≈72n + 368 B the rest of the Viz holds), a
+	// fresh copy never written again, so any worker may read it without a
+	// lock. An append builds new Vizs, so a patched chart starts over at
+	// zero.
+	angleRuns atomic.Int32
+	angles    atomic.Pointer[[]float64]
 }
 
 // pruneStats is the per-visualization state the sound pruning bound reads:

@@ -326,34 +326,58 @@ func TestTilingBoundDominatesExact(t *testing.T) {
 	}
 }
 
-// FuzzTilingBound decodes a chart of 2 to 24 points (x steps of 0, 1 or 2,
-// so repeated x; y bytes 125, 126 and 127 stand for NaN, −Inf and +Inf), a
-// bare query from tilingQueries and a width floor, and demands the tiling
-// bound dominate the exact score with no margin beyond boundEps and never
-// fall below −1. Bit 0 of the flags byte skips z-normalization, so
-// non-finite values reach the range sums. Where the tier applies, the chart
-// then runs twice through loadRangeAngles, as two pruned runs would: the
-// first pass fills scratch, the second keeps the table and reads it, and
-// the kept table, the tiling bound and evalViz's score and ranges must
-// equal the first pass's bit for bit.
+// keptQueries are FuzzTilingBound's queries: tilingQueries, then chains
+// the tiling tier declines but whose exact path still reads range angles,
+// all with every signature occurring once (the score memo off).
+var keptQueries = append(slices.Clip(tilingQueries), "d ; u", "[p=up, m=>>] ; d", "u ; (d | f)")
+
+// FuzzTilingBound decodes a chart of 2 to keptAnglesMaxPoints points (x
+// steps of 0, 1 or 2, so repeated x; y bytes 125, 126 and 127 stand for
+// NaN, −Inf and +Inf), a query from keptQueries and a width floor. Bit 0
+// of the flags byte skips z-normalization, so non-finite values reach the
+// range sums. For a bare query the tiling bound must dominate the naive
+// (chainMeta == nil) exact score with no margin beyond boundEps and never
+// fall below −1, and the tier must apply exactly up to tilingMaxPoints.
+// The chart then runs three times through the per-candidate step under a
+// floor every bound clears, as three pruned runs would, so the tier (where
+// it applies) and the exact evaluation both run: the first run counts the
+// chart, the second makes it keep its range-angle table and the third
+// reads it. After every run the slot's score and ranges must equal the
+// naive evaluation's bit for bit; from the second, the kept table must be
+// fillRangeAngles' output bit for bit, and the tiling bound over it the
+// scratch fill's; the third must not replace it.
 func FuzzTilingBound(f *testing.F) {
 	f.Add([]byte{0, 13, 0, 1, 10, 1, 20, 1, 5, 1, 30, 1, 0, 1, 12})
 	f.Add([]byte{7, 0, 0, 0, 1, 1, 2, 0, 3, 1, 4, 1, 3, 0, 2, 1, 1})
 	f.Add([]byte{3, 100, 1, 1, 10, 1, 127, 1, 20, 1, 125, 1, 5, 2, 126, 1, 8})
 	f.Add([]byte{5, 255, 0, 1, 1, 1, 1, 1, 1, 1, 1})
+	// 32-point charts, past the tier's cap: a zigzag under u ; d, and a
+	// walk with a NaN and repeated x under a modified pattern, unnormalized.
+	zigzag, walk := []byte{0, 13, 0}, []byte{9, 20, 1}
+	for i := 0; i < keptAnglesMaxPoints; i++ {
+		zigzag = append(zigzag, 1, byte(i%8*10))
+		y := byte(i * 7 % 50)
+		if i == 20 {
+			y = 125
+		}
+		walk = append(walk, byte(i%3), y)
+	}
+	f.Add(zigzag)
+	f.Add(walk)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
 		}
-		query := tilingQueries[int(data[0])%len(tilingQueries)]
+		query := keptQueries[int(data[0])%len(keptQueries)]
 		opts := seqOpts()
+		opts.Pruning = true
 		if data[1] > 0 {
 			opts.MinSegmentFrac = float64(data[1]) / 512
 		} else {
 			opts.MinSegmentFrac = 1e-9
 		}
 		points := data[3:]
-		n := min(len(points)/2, 24)
+		n := min(len(points)/2, keptAnglesMaxPoints)
 		xs, ys := make([]float64, n), make([]float64, n)
 		for i := 0; i < n; i++ {
 			if i > 0 {
@@ -375,43 +399,50 @@ func FuzzTilingBound(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Past the cap the tier declines, but the bound is still sound.
-		if tilingApplies(v, p.opts) != (n <= tilingMaxPoints) {
-			t.Fatalf("%q n=%d: tier applies = %v", query, n, !(n <= tilingMaxPoints))
+		np := naivePlan(p)
+		want, wantRanges := evalViz(newEvalCtx(), v, np.norm, np.opts, np.solver)
+		bare := p.opts.chainMeta.bare
+		if tilingApplies(v, p.opts) != (bare && n <= tilingMaxPoints) || !anglesApply(v, p.opts) {
+			t.Fatalf("%q n=%d: tier applies = %v, exact path reads angles = %v",
+				query, n, tilingApplies(v, p.opts), anglesApply(v, p.opts))
 		}
 		ec := newEvalCtx()
-		exact, _ := evalViz(ec, v, p.norm, p.opts, treeRun)
-		ec.fillRangeAngles(v)
-		if tb := tilingUpperBound(ec, v, p.norm, p.opts); tb < exact-boundEps || tb < -1 {
-			t.Fatalf("%q frac=%v x=%v y=%v: tiling bound %.17g, exact score %.17g",
-				query, opts.MinSegmentFrac, xs, ys, tb, exact)
-		}
-		if n > tilingMaxPoints {
-			return
-		}
-		ec.loadRangeAngles(v) // first use: scratch
-		if v.keptRangeAngles() != nil {
-			t.Fatalf("%q x=%v y=%v: a table is kept after one run", query, xs, ys)
-		}
-		angles := slices.Clone(ec.tile)
-		tb := tilingUpperBound(ec, v, p.norm, p.opts)
-		sc, ranges := evalViz(ec, v, p.norm, p.opts, treeRun)
-		ec.loadRangeAngles(v) // reuse: keeps the table and reads it
-		kept := v.keptRangeAngles()
-		if len(kept) != len(angles) {
-			t.Fatalf("%q x=%v y=%v: kept %d angles, want %d", query, xs, ys, len(kept), len(angles))
-		}
-		for r := range angles {
-			if math.Float64bits(kept[r]) != math.Float64bits(angles[r]) {
-				t.Fatalf("%q x=%v y=%v range %d: kept angle %v, first pass %v", query, xs, ys, r, kept[r], angles[r])
+		var tb float64
+		if bare {
+			// Past the cap the tier declines, but the bound is still sound.
+			ec.fillRangeAngles(v)
+			if tb = tilingUpperBound(ec, v, p.norm, p.opts); tb < want-boundEps || tb < -1 {
+				t.Fatalf("%q frac=%v x=%v y=%v: tiling bound %.17g, exact score %.17g",
+					query, opts.MinSegmentFrac, xs, ys, tb, want)
 			}
 		}
-		if keptTB := tilingUpperBound(ec, v, p.norm, p.opts); math.Float64bits(keptTB) != math.Float64bits(tb) {
-			t.Fatalf("%q x=%v y=%v: tiling bound %.17g over the kept table, %.17g first", query, xs, ys, keptTB, tb)
-		}
-		if keptSc, keptRanges := evalViz(ec, v, p.norm, p.opts, treeRun); math.Float64bits(keptSc) != math.Float64bits(sc) || !slices.Equal(keptRanges, ranges) {
-			t.Fatalf("%q x=%v y=%v: evalViz %.17g %v over the kept table, %.17g %v first",
-				query, xs, ys, keptSc, keptRanges, sc, ranges)
+		var kept []float64
+		for run := 1; run <= 3; run++ {
+			s := scoreStep(p, v, -2)
+			if !s.ok || math.Float64bits(s.score) != math.Float64bits(want) || !slices.Equal(s.ranges, wantRanges) {
+				t.Fatalf("%q x=%v y=%v run %d: slot %+v, naive evaluation %.17g %v", query, xs, ys, run, s, want, wantRanges)
+			}
+			table := v.keptRangeAngles()
+			switch {
+			case (table != nil) != (run >= 2):
+				t.Fatalf("%q x=%v y=%v run %d: keeps a table: %v", query, xs, ys, run, table != nil)
+			case run == 2:
+				kept = table
+				ec.fillRangeAngles(v)
+				for r := range ec.tileAngle {
+					if math.Float64bits(kept[r]) != math.Float64bits(ec.tileAngle[r]) {
+						t.Fatalf("%q x=%v y=%v range %d: kept angle %v, fillRangeAngles %v", query, xs, ys, r, kept[r], ec.tileAngle[r])
+					}
+				}
+				if bare {
+					ec.loadRangeAngles(v)
+					if keptTB := tilingUpperBound(ec, v, p.norm, p.opts); math.Float64bits(keptTB) != math.Float64bits(tb) {
+						t.Fatalf("%q x=%v y=%v: tiling bound %.17g over the kept table, %.17g over a fill", query, xs, ys, keptTB, tb)
+					}
+				}
+			case run == 3 && &table[0] != &kept[0]:
+				t.Fatalf("%q x=%v y=%v: run 3 replaced the kept table", query, xs, ys)
+			}
 		}
 	})
 }
