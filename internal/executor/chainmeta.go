@@ -80,6 +80,9 @@ type altMeta struct {
 	// among pin-free chains; −1 when the chain has pins (its bound depends
 	// on data-resolved anchors and is derived individually).
 	boundGroup int
+	// positional reports that some unit carries a POSITION reference (a −1
+	// in sigs): only such a chain reads the fitted slopes scoreRanges binds.
+	positional bool
 }
 
 // unitPin is a unit's pinned x endpoints, hoisted out of the per-candidate
@@ -138,6 +141,7 @@ func (st *sigIntern) add(norm shape.Normalized) *chainMeta {
 			am.bsigs[t] = id
 			if u.Node.HasDirectPositionRef() {
 				am.sigs[t] = -1
+				am.positional = true
 			} else {
 				am.sigs[t] = id
 				st.eligCount[id]++

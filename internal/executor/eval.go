@@ -26,6 +26,10 @@ type chainEval struct {
 	// chosen; POSITION references read it during the re-scoring pass.
 	// nil during the search pass (references provisionally score 1).
 	refSlopes []float64
+	// refsFree reports that the plan compiled this chain and found no
+	// POSITION unit, so scoreRanges need not fit or bind refSlopes. False
+	// for chains compiled without metadata: they always bind.
+	refsFree bool
 	// sigs holds each unit's interned signature id for the per-candidate
 	// unit-score memo; nil disables memoization (chains compiled without
 	// plan metadata, nested sub-queries, units containing POSITION
@@ -89,6 +93,7 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 	ce.ampUnit = v.ampUnit()
 	if am != nil {
 		ce.sigs = am.sigs
+		ce.refsFree = !am.positional
 		if ce.skippedPrefix == nil {
 			ce.angles = ec.rangeAngles(v)
 		}
@@ -509,23 +514,27 @@ func (ce *chainEval) evalNested(norm shape.Normalized, i, j int) float64 {
 // inclusive point ranges to units, resolving POSITION references exactly:
 // unit slopes are fitted first, then every unit is re-scored with
 // references bound — a reference may name a later unit, so every slope
-// must be known before any unit is scored.
+// must be known before any unit is scored. A chain without POSITION units
+// skips the fits: no other unit reads refSlopes.
 func (ce *chainEval) scoreRanges(ranges [][2]int) float64 {
-	slopes := grow(&ce.ctx.slopes, len(ce.units))
 	for t := range ce.units {
-		r := ranges[t]
-		if r[1] <= r[0] {
+		if r := ranges[t]; r[1] <= r[0] {
 			return score.WorstScore
 		}
-		s, ok := ce.viz.rangeSlope(r[0], r[1])
-		if !ok {
-			s = 0
-		}
-		slopes[t] = s
 	}
-	saved := ce.refSlopes
-	ce.refSlopes = slopes
-	defer func() { ce.refSlopes = saved }()
+	if !ce.refsFree {
+		slopes := grow(&ce.ctx.slopes, len(ce.units))
+		for t := range ce.units {
+			s, ok := ce.viz.rangeSlope(ranges[t][0], ranges[t][1])
+			if !ok {
+				s = 0
+			}
+			slopes[t] = s
+		}
+		saved := ce.refSlopes
+		ce.refSlopes = slopes
+		defer func() { ce.refSlopes = saved }()
+	}
 	var total float64
 	for t, u := range ce.chain.Units {
 		total += u.Weight * ce.unitScore(t, ranges[t][0], ranges[t][1])

@@ -239,16 +239,9 @@ func (p *Plan) groupInput(series []dataset.Series) ([]dataset.Series, groupConfi
 // series collection, returning the candidate visualizations
 // RunGroupedContext scores. The result is what a serving layer caches to
 // skip EXTRACT + GROUP on repeated queries with the same visual
-// parameters.
+// parameters. It is GroupSeriesPooled without a pool.
 func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
-	series, gcfg := p.groupInput(series)
-	vizs := make([]*Viz, 0, len(series))
-	for _, s := range series {
-		if v := group(s, gcfg); v != nil {
-			vizs = append(vizs, v)
-		}
-	}
-	return vizs
+	return p.GroupSeriesPooled(nil, series)
 }
 
 // SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline

@@ -492,7 +492,8 @@ func anglesApply(v *Viz, o *Options) bool {
 // accepts. The first such run keeps nothing, so a candidate set searched
 // once costs no memory. The second builds a fresh table and publishes it
 // on v, and every later run reads that table without computing an atan:
-// the gate is an observed reuse. Runs racing to publish build equal
+// the gate is an observed reuse, counted across every candidate set that
+// shares v through a VizPool. Runs racing to publish build equal
 // tables, and whichever lands first stays.
 func (v *Viz) countAngleRun() {
 	if v.angles.Load() != nil || v.angleRuns.Add(1) < 2 {

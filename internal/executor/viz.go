@@ -61,8 +61,10 @@ type Viz struct {
 	// writeRangeAngles' packed layout: n(n−1)/2 float64s (3,968 B at 32
 	// points, about 1.5× the ≈72n + 368 B the rest of the Viz holds), a
 	// fresh copy never written again, so any worker may read it without a
-	// lock. An append builds new Vizs, so a patched chart starts over at
-	// zero.
+	// lock. Every candidate set whose series equals v's shares v (VizPool),
+	// so the count spans them all: a chart that drill-down filters leave
+	// unchanged keeps its table after its second run in any set. A chart
+	// an append changes is a new Viz and starts over at zero.
 	angleRuns atomic.Int32
 	angles    atomic.Pointer[[]float64]
 }

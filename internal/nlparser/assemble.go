@@ -282,8 +282,9 @@ func (a *assembly) logf(format string, args ...any) {
 	a.resolutions = append(a.resolutions, fmt.Sprintf(format, args...))
 }
 
-// build converts the resolved assembly into a ShapeQuery tree: CONCAT
-// separates steps; within a step AND binds tighter than OR.
+// build converts the resolved assembly into a ShapeQuery tree: OR
+// separates alternatives, CONCAT separates the steps of one alternative,
+// and AND joins the patterns of one step.
 func (a *assembly) build() (shape.Query, error) {
 	if len(a.segs) == 0 {
 		return shape.Query{}, fmt.Errorf("nlparser: no shape entities recognized in the query")
@@ -296,8 +297,11 @@ func (a *assembly) build() (shape.Query, error) {
 		}
 		nodes[i] = n
 	}
-	// Fold with precedence CONCAT > AND > OR, left-associated: split at OR
-	// first, then AND, then CONCAT.
+	// Fold with precedence AND > CONCAT > OR, left-associated: split at OR
+	// first, then CONCAT, then AND. An "and" between two patterns thus
+	// holds both over one step ("falling and not flat then rising"); the
+	// engine cannot segment an AND over a CONCAT chain, so "A and B then C"
+	// must not read as A over the whole of B-then-C.
 	root := foldOps(nodes, a.ops)
 	q := shape.Query{Root: root}
 	if err := q.Validate(); err != nil {
@@ -328,7 +332,7 @@ func foldOps(nodes []*shape.Node, ops []opKind) *shape.Node {
 		opGroups = append(opGroups, ops[start:])
 		return nodeGroups, opGroups, true
 	}
-	for _, kind := range []opKind{opOr, opAnd, opCat} {
+	for _, kind := range []opKind{opOr, opCat, opAnd} {
 		if groups, opGroups, ok := split(kind); ok {
 			children := make([]*shape.Node, len(groups))
 			for i := range groups {

@@ -119,6 +119,12 @@ func TestParseOrAndNot(t *testing.T) {
 	if got := q.String(); got != "![p=flat]" {
 		t.Errorf("got %q", got)
 	}
+	// "and" joins the patterns of one step: an AND over the CONCAT of the
+	// later steps could not be segmented.
+	q = parseNL(t, "falling and not flat then rising")
+	if got := q.String(); got != "([p=down] & ![p=flat])[p=up]" {
+		t.Errorf("got %q", got)
+	}
 }
 
 func TestAmbiguityRule1MultipleP(t *testing.T) {

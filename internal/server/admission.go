@@ -155,6 +155,9 @@ func (a *admission) admit(ctx context.Context, tenant string, requested int) (*t
 	}
 	if a.queued >= a.queueDepth {
 		a.nShed++
+		// tenantLocked may have just created tq; a shed request leaves it
+		// idle, and only gc keeps the map to live tenants.
+		a.gcTenantLocked(tq)
 		a.mu.Unlock()
 		return nil, &overloadError{retryAfter: a.retryAfterSeconds(), reason: "queue full"}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,6 +155,49 @@ func TestAdmitShedsWhenQueueFull(t *testing.T) {
 	}
 	hold.release()
 	close(release)
+	waitSnapshot(t, a, func(adm, q, w int) bool { return adm == 0 && q == 0 && w == 0 })
+}
+
+// TestAdmissionShedDropsIdleTenant: a request shed at a full queue leaves
+// no state behind, so a stream of distinct tenant ids cannot grow the
+// tenant map. The two live tenants are the slot holder's and the queued
+// waiter's.
+func TestAdmissionShedDropsIdleTenant(t *testing.T) {
+	a := newAdmission(1)
+	a.queueDepth = 1
+	hold, err := a.admit(context.Background(), "holder", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tk, err := a.admit(context.Background(), "waiter", 0)
+		if err != nil {
+			t.Errorf("queued waiter: %v", err)
+			return
+		}
+		<-release
+		tk.release()
+	}()
+	waitSnapshot(t, a, func(_, q, _ int) bool { return q == 1 })
+	for i := 0; i < 1000; i++ {
+		_, err := a.admit(context.Background(), fmt.Sprintf("shed-%d", i), 0)
+		var oe *overloadError
+		if !errors.As(err, &oe) {
+			t.Fatalf("admit %d at a full queue: err = %v, want *overloadError", i, err)
+		}
+	}
+	a.mu.Lock()
+	n := len(a.tenants)
+	a.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("tenant map holds %d tenants after 1000 shed requests, want 2", n)
+	}
+	hold.release()
+	close(release)
+	<-done
 	waitSnapshot(t, a, func(adm, q, w int) bool { return adm == 0 && q == 0 && w == 0 })
 }
 

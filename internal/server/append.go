@@ -114,13 +114,13 @@ func (s *Server) patchOne(snap lruEntry[cachedCandidates], ix *dataset.Index, de
 		s.cache.remove(snap.key)
 		return true, false
 	}
+	// A touched z missing from fresh has no groupable series any more. The
+	// pool hands back the chart another entry already regrouped from the
+	// same series, and the old chart itself when the delta left it as it
+	// was.
 	fresh := make(map[string]*executor.Viz, len(series))
-	for _, sr := range series {
-		if vs := plan.GroupSeries([]dataset.Series{sr}); len(vs) == 1 {
-			fresh[sr.Z] = vs[0]
-		} else {
-			fresh[sr.Z] = nil
-		}
+	for _, v := range plan.GroupSeriesPooled(&s.vizPool, series) {
+		fresh[v.Series.Z] = v
 	}
 
 	old := snap.val.vizs
@@ -146,6 +146,9 @@ func (s *Server) patchOne(snap lruEntry[cachedCandidates], ix *dataset.Index, de
 		p, existed := pos[z]
 		switch {
 		case existed && nv != nil:
+			if nv == old[p] {
+				continue // the delta's rows for z are invisible to this spec
+			}
 			newVizs[p] = nv
 			changed = append(changed, p)
 		case existed:
@@ -279,9 +282,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no dataset %q", name))
 		return
 	}
-	delta, err := dataset.FromCSVSchema(r.Body, ix.Table())
+	delta, err := dataset.FromCSVSchema(http.MaxBytesReader(w, r.Body, maxAppendBody), ix.Table())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyErr(w, "", err)
 		return
 	}
 	// Appends yield to interactive searches: under load the append waits

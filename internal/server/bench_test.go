@@ -79,3 +79,34 @@ func BenchmarkServeSearchColdCache(b *testing.B) {
 		serveSearch(b, s, benchQueries[i%len(benchQueries)])
 	}
 }
+
+// BenchmarkServeSearchDrill measures the candidate-cache miss path of a
+// drill-down loop: every request carries a price floor no recent request
+// used, so it extracts, groups (through the chart pool, which hands back
+// the charts earlier sets already built) and, for sets of at least
+// indexMinVizs charts, builds a shape index.
+func BenchmarkServeSearchDrill(b *testing.B) {
+	s := New()
+	s.Register("stocks", gen.Stocks(300, 60, 1))
+	floors := make([]float64, 997)
+	for i := range floors {
+		floors[i] = 10 + float64(i)*0.2
+	}
+	for i := 0; i < defaultCacheCapacity; i++ {
+		serveDrill(b, s, floors[len(floors)-1-i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveDrill(b, s, floors[i%len(floors)])
+	}
+}
+
+// serveDrill issues one pruned drill-down search through the full HTTP
+// stack.
+func serveDrill(b *testing.B, s *Server, floor float64) {
+	b.Helper()
+	rec := doJSON(b, s, http.MethodPost, "/api/search", drillRequest("u ; d ; u", floor, true))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+}

@@ -73,6 +73,10 @@ func planKey(fingerprint string, alg executor.Algorithm, k int, pruning bool) st
 // and whether that configuration is per-series local (Plan.PinFree) so a
 // touched group can be regrouped alone and spliced in place. Searches
 // ignore them.
+//
+// vizs come from the server's chart pool (Server.vizPool), so entries over
+// equal series hold the same *executor.Viz objects; a Viz is immutable
+// apart from its memoized scoring state, which any entry may fill.
 type cachedCandidates struct {
 	vizs      []*executor.Viz
 	index     *executor.VizIndex

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"shapesearch/internal/dataset"
+	"shapesearch/internal/executor"
 	"shapesearch/internal/gen"
 	"shapesearch/internal/server/faultinject"
 )
@@ -236,5 +237,67 @@ func TestDisabledCache(t *testing.T) {
 	}
 	if cachedExtracts != 2 || extracts != int64(len(got)) {
 		t.Fatalf("extractions: cached %d (want 2), uncached %d (want one per search, %d)", cachedExtracts, extracts, len(got))
+	}
+}
+
+// drillRequest is one step of a drill-down loop over the stocks table: a
+// price floor narrows the charts, so each distinct floor is its own
+// candidate set.
+func drillRequest(query string, floor float64, pruning bool) searchRequest {
+	return searchRequest{
+		parseRequest: parseRequest{Kind: "regex", Query: query},
+		Dataset:      "stocks", Z: "symbol", X: "day", Y: "price", K: 5,
+		Filters: []filterSpec{{Col: "price", Op: ">", Num: floor}},
+		Pruning: pruning,
+	}
+}
+
+// TestDrillSharesCharts: distinct price floors sent through a candidate
+// cache far smaller than their number miss on nearly every request. Each
+// miss groups through the chart pool, and the replies must match a server
+// without a candidate cache byte for byte. Two cached sets that both keep
+// every row hold the very same charts.
+func TestDrillSharesCharts(t *testing.T) {
+	tbl := gen.Stocks(indexMinVizs+40, 30, 1)
+	s := New(WithCandidateCacheCapacity(4))
+	s.Register("stocks", tbl)
+	ref := New()
+	ref.DisableCache()
+	ref.Register("stocks", gen.Stocks(indexMinVizs+40, 30, 1))
+	queries := []string{"u ; d", "d ; u ; d", "[p=up, m={1,}]"}
+	for i := 0; i < 60; i++ {
+		// Floors come back after their sets were evicted, and the refill
+		// meets whatever charts of theirs the live sets still hold.
+		floor := 10 + float64(i*37%45)*4
+		req := drillRequest(queries[i%len(queries)], floor, i%2 == 0)
+		got := doJSON(t, s, http.MethodPost, "/api/search", req)
+		want := doJSON(t, ref, http.MethodPost, "/api/search", req)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d and %d: %s", i, got.Code, want.Code, got.Body.String())
+		}
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("request %d (floor %v): reply differs from the uncached server\ngot:  %.300s\nwant: %.300s", i, floor, got.Body.String(), want.Body.String())
+		}
+	}
+
+	for _, floor := range []float64{-1, -2} {
+		if rec := doJSON(t, s, http.MethodPost, "/api/search", drillRequest("u ; d", floor, true)); rec.Code != http.StatusOK {
+			t.Fatalf("floor %v: status = %d: %s", floor, rec.Code, rec.Body.String())
+		}
+	}
+	sets := make(map[float64][]*executor.Viz)
+	for _, e := range s.cache.snapshot(cacheKeyPrefix("stocks", 1)) {
+		if f := e.val.espec.Filters; len(f) == 1 && f[0].Num < 0 {
+			sets[f[0].Num] = e.val.vizs
+		}
+	}
+	a, b := sets[-1], sets[-2]
+	if len(a) != indexMinVizs+40 || len(b) != len(a) {
+		t.Fatalf("unfiltered sets hold %d and %d charts, want %d each", len(a), len(b), indexMinVizs+40)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("chart %d (%s): two cached sets with equal content hold two charts", i, a[i].Series.Z)
+		}
 	}
 }

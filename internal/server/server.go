@@ -10,6 +10,10 @@
 //	POST /api/datasets/{name}            upload a CSV body as a dataset
 //	POST /api/parse                      parse a query (regex, nl, sketch)
 //	POST /api/search                     parse + execute, returning top-k
+//	POST /api/append?dataset={name}      append a CSV body to a dataset
+//
+// Each POST body has a size limit of its own (maxParseBody and its
+// siblings); a larger body is answered 413 with a JSON error.
 package server
 
 import (
@@ -18,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -68,6 +73,12 @@ type Server struct {
 	// per query fingerprint and score-relevant options (planKey).
 	cache *lru[cachedCandidates]
 	plans *lru[*executor.Plan]
+	// vizPool shares grouped charts across candidate-cache entries: a fill
+	// or an append patch gets back the live Viz of any series it groups
+	// that another entry (or a running request) already holds, with every
+	// memo built on it. It holds charts weakly, so the candidate cache
+	// alone decides what stays in memory.
+	vizPool executor.VizPool
 	// adm is the bounded search queue in front of scoring (admission.go):
 	// it caps concurrent searches, queues arrivals FIFO per tenant with a
 	// queue-time budget, sheds the rest with 429 + Retry-After, and hands
@@ -244,6 +255,53 @@ func (s *Server) DisableCache() { s.cache.disable() }
 // logged and dropped without a response.
 func (s *Server) SetSearchTimeout(d time.Duration) { s.searchTimeout.Store(int64(d)) }
 
+// Request body limits, one per endpoint. The server reads at most one byte
+// past a limit and answers such a body 413 with a JSON error (see
+// writeBodyErr).
+const (
+	// maxParseBody bounds POST /api/parse: one query text or sketch.
+	maxParseBody = 256 << 10
+	// maxSearchBody bounds POST /api/search: a batch of queries, their
+	// sketches and the filters.
+	maxSearchBody = 1 << 20
+	// maxAppendBody bounds POST /api/append: one CSV delta.
+	maxAppendBody = 4 << 20
+	// maxUploadBody bounds POST /api/datasets/{name}: a whole CSV table.
+	// Larger tables are registered at start-up (shapeserver -load).
+	maxUploadBody = 16 << 20
+)
+
+// decodeJSONBody decodes r's body into v. The body must hold one JSON value
+// and nothing after it but whitespace, all within limit bytes: the
+// decoder would otherwise stop at the value's end, accepting trailing
+// garbage and never tripping the limit.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return errors.New("data after the JSON value")
+	}
+}
+
+// writeBodyErr answers an error from reading or decoding a request body:
+// 413 when the body passed its limit (http.MaxBytesReader), else 400 with
+// the error after prefix.
+func writeBodyErr(w http.ResponseWriter, prefix string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, prefix+err.Error())
+}
+
 // defaultAppendYieldMax and defaultRebuildPauseMax bound how long
 // background work (HTTP appends, shape-index rebuilds) yields to
 // interactive searches under load before proceeding anyway. Both are
@@ -305,9 +363,9 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "dataset name must be a single path segment")
 		return
 	}
-	t, err := dataset.FromCSV(r.Body)
+	t, err := dataset.FromCSV(http.MaxBytesReader(w, r.Body, maxUploadBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeBodyErr(w, "", err)
 		return
 	}
 	s.Register(name, t)
@@ -389,8 +447,8 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req parseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if err := decodeJSONBody(w, r, maxParseBody, &req); err != nil {
+		writeBodyErr(w, "invalid JSON: ", err)
 		return
 	}
 	_, resp, err := s.parseQuery(req)
@@ -489,8 +547,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+	if err := decodeJSONBody(w, r, maxSearchBody, &req); err != nil {
+		writeBodyErr(w, "invalid JSON: ", err)
 		return
 	}
 	batch := len(req.Queries) > 0
@@ -608,7 +666,7 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 		if err != nil {
 			return cachedCandidates{}, err
 		}
-		vizs := plan.GroupSeries(series)
+		vizs := plan.GroupSeriesPooled(&s.vizPool, series)
 		cc := cachedCandidates{vizs: vizs, espec: espec, plan: plan, patchable: plan.PinFree(), zpos: buildZPos(vizs)}
 		if len(vizs) >= indexMinVizs {
 			// The index is query-independent (built from the vizs alone), so
