@@ -26,6 +26,8 @@ import (
 	"syscall"
 
 	"shapesearch"
+	"shapesearch/internal/dataset"
+	"shapesearch/internal/executor"
 	"shapesearch/internal/gen"
 )
 
@@ -70,7 +72,7 @@ func run(dataPath, demo, zAttr, xAttr, yAttr, agg string, regexes []string, nl s
 	if err != nil {
 		return err
 	}
-	spec.Agg, err = aggByName(agg)
+	spec.Agg, err = dataset.ParseAgg(agg)
 	if err != nil {
 		return err
 	}
@@ -109,7 +111,7 @@ func run(dataPath, demo, zAttr, xAttr, yAttr, agg string, regexes []string, nl s
 	opts.K = k
 	opts.Pruning = pruning
 	opts.Parallelism = parallel
-	opts.Algorithm, err = algByName(algName)
+	opts.Algorithm, err = executor.ParseAlgorithm(algName)
 	if err != nil {
 		return err
 	}
@@ -211,46 +213,6 @@ func demoData(name string) (*shapesearch.Table, shapesearch.ExtractSpec, error) 
 		return gen.Cities(30, 24, 1), shapesearch.ExtractSpec{Z: "city", X: "month", Y: "temperature"}, nil
 	default:
 		return nil, shapesearch.ExtractSpec{}, fmt.Errorf("unknown demo %q (want stocks, genes, luminosity, or cities)", name)
-	}
-}
-
-func aggByName(name string) (shapesearch.Agg, error) {
-	switch name {
-	case "", "none":
-		return shapesearch.AggNone, nil
-	case "avg":
-		return shapesearch.AggAvg, nil
-	case "sum":
-		return shapesearch.AggSum, nil
-	case "min":
-		return shapesearch.AggMin, nil
-	case "max":
-		return shapesearch.AggMax, nil
-	case "count":
-		return shapesearch.AggCount, nil
-	default:
-		return shapesearch.AggNone, fmt.Errorf("unknown aggregation %q", name)
-	}
-}
-
-func algByName(name string) (shapesearch.Algorithm, error) {
-	switch name {
-	case "auto", "":
-		return shapesearch.AlgAuto, nil
-	case "dp":
-		return shapesearch.AlgDP, nil
-	case "segmenttree", "tree":
-		return shapesearch.AlgSegmentTree, nil
-	case "greedy":
-		return shapesearch.AlgGreedy, nil
-	case "exhaustive":
-		return shapesearch.AlgExhaustive, nil
-	case "dtw":
-		return shapesearch.AlgDTW, nil
-	case "euclidean":
-		return shapesearch.AlgEuclidean, nil
-	default:
-		return shapesearch.AlgAuto, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
 

@@ -82,7 +82,7 @@ func copyTable(t *Table) *Table {
 // property: after any sequence of appends — in-order and out-of-order x,
 // new z values, NaNs — extraction through the incrementally maintained
 // index is bit-identical (same errors included) to both a fresh BuildIndex
-// of the concatenated table and the legacy Extract over it. Specs run
+// of the concatenated table and the row-at-a-time oracle over it. Specs run
 // BEFORE the appends too, so extended (not freshly built) encodings and
 // layouts are what the comparison exercises.
 func TestIndexAppendMatchesRebuild(t *testing.T) {
@@ -112,7 +112,7 @@ func TestIndexAppendMatchesRebuild(t *testing.T) {
 			freshIx := BuildIndex(fresh)
 			specs := append(append([]ExtractSpec(nil), warm...), randomSpec(rng))
 			for si, spec := range specs {
-				legacy, lerr := Extract(fresh, spec)
+				legacy, lerr := legacyExtract(fresh, spec)
 				appended, aerr := ix.Extract(spec)
 				rebuilt, rerr := freshIx.Extract(spec)
 				if (lerr == nil) != (aerr == nil) || (lerr == nil) != (rerr == nil) {

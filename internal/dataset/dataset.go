@@ -4,19 +4,17 @@
 // records into candidate trendline series according to the visual
 // parameters z, x and y.
 //
-// EXTRACT has two physical implementations behind the Source interface: the
-// legacy row-at-a-time scan over a bare *Table (package-level Extract), and
-// the columnar *Index built by BuildIndex — dictionary-encoded grouping
-// keys, memoized (z, x) sort permutations walked as contiguous z-runs, and
-// vectorized filter kernels over a selection bitmap. Both produce identical
-// Series; serving layers index tables once at registration and extract
-// through the index.
+// EXTRACT has one physical implementation, the columnar *Index built by
+// BuildIndex: dictionary-encoded grouping and filter columns, memoized
+// per-group (z, x) row layouts, and vectorized filter kernels over a
+// selection bitmap, each built on first use. A bare *Table extracts through
+// a transient Index; serving layers keep one Index per registered table, so
+// what the first search builds serves the rest.
 package dataset
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -117,17 +115,11 @@ func (t *Table) DistinctValues(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]struct{}, 16)
-	out := make([]string, 0, 16)
-	for i := 0; i < c.Len(); i++ {
-		v := c.ValueString(i)
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
+	e := encodeColumn(c)
+	out := make([]string, len(e.order))
+	for i, code := range e.order {
+		out[i] = e.dict[code]
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -179,37 +171,6 @@ type Filter struct {
 	Str string
 }
 
-// matches evaluates the filter on row i of column c.
-func (f Filter) matches(c *Column, i int) (bool, error) {
-	if c.Type == String {
-		switch f.Op {
-		case Eq:
-			return c.Strings[i] == f.Str, nil
-		case Ne:
-			return c.Strings[i] != f.Str, nil
-		default:
-			return false, fmt.Errorf("dataset: operator %s not supported on string column %q", f.Op, f.Col)
-		}
-	}
-	v := c.Floats[i]
-	switch f.Op {
-	case Eq:
-		return v == f.Num, nil
-	case Ne:
-		return v != f.Num, nil
-	case Lt:
-		return v < f.Num, nil
-	case Le:
-		return v <= f.Num, nil
-	case Gt:
-		return v > f.Num, nil
-	case Ge:
-		return v >= f.Num, nil
-	default:
-		return false, fmt.Errorf("dataset: unknown operator %d", int(f.Op))
-	}
-}
-
 // Agg is the aggregation applied when multiple y values share one (z, x)
 // coordinate (for example the Real Estate dataset of the paper's
 // evaluation).
@@ -252,6 +213,20 @@ func (a Agg) String() string {
 	}
 }
 
+// ParseAgg parses an aggregation name as String renders it; the empty name
+// is AggNone.
+func ParseAgg(name string) (Agg, error) {
+	if name == "" {
+		return AggNone, nil
+	}
+	for a := AggNone; a <= AggCount; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return AggNone, fmt.Errorf("unknown aggregation %q", name)
+}
+
 // Series is one candidate visualization: the trendline of a single z value,
 // sorted by x.
 type Series struct {
@@ -267,7 +242,7 @@ func (s *Series) Len() int { return len(s.X) }
 // (z, x, y attributes), filters f, and aggregation a.
 //
 // Non-finite values: a row whose x or y is NaN, +Inf or −Inf is dropped
-// from every series, by both Source implementations, before aggregation.
+// from every series before aggregation.
 // Tables still store such values (a CSV with "Inf" loads), but no series
 // carries one, so no score, bound or reply downstream sees one.
 type ExtractSpec struct {
@@ -280,10 +255,10 @@ type ExtractSpec struct {
 	XRanges [][2]float64
 }
 
-// Source is anything the EXTRACT operator can run against: a bare *Table
-// (the legacy row-at-a-time path) or an *Index (the columnar path with
-// dictionary-encoded grouping and vectorized filters). Both produce
-// identical Series for identical specs.
+// Source is anything the EXTRACT operator can run against: a bare *Table,
+// which extracts through a transient Index on every call, or a long-lived
+// *Index, which keeps the encodings and layouts its extractions build.
+// Both produce identical Series for identical specs.
 type Source interface {
 	// Table returns the underlying columnar table (for metadata access).
 	Table() *Table
@@ -299,12 +274,12 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // Table returns the table itself, making *Table a Source.
 func (t *Table) Table() *Table { return t }
 
-// Extract runs the legacy row-at-a-time EXTRACT over the table; it is the
+// Extract runs EXTRACT over the table through a transient Index; it is the
 // method form of the package-level Extract.
 func (t *Table) Extract(spec ExtractSpec) ([]Series, error) { return Extract(t, spec) }
 
 // resolveSpec resolves and validates the z/x/y attributes of a spec against
-// a table; both extraction paths share its checks and error messages.
+// a table.
 func resolveSpec(t *Table, spec ExtractSpec) (zc, xc, yc *Column, err error) {
 	zc, err = t.Column(spec.Z)
 	if err != nil {
@@ -327,85 +302,13 @@ func resolveSpec(t *Table, spec ExtractSpec) (zc, xc, yc *Column, err error) {
 	return zc, xc, yc, nil
 }
 
-// Extract selects and aggregates records into one Series per distinct z
-// value, sorted on z then x (the EXTRACT physical operator, Section 5.3).
-func Extract(t *Table, spec ExtractSpec) ([]Series, error) {
-	zc, xc, yc, err := resolveSpec(t, spec)
-	if err != nil {
-		return nil, err
-	}
-	fcols := make([]*Column, len(spec.Filters))
-	for i, f := range spec.Filters {
-		fc, err := t.Column(f.Col)
-		if err != nil {
-			return nil, err
-		}
-		fcols[i] = fc
-	}
-
-	groups := make(map[string][]point)
-	var order []string
-
-rows:
-	for i := 0; i < t.rows; i++ {
-		for j, f := range spec.Filters {
-			ok, err := f.matches(fcols[j], i)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue rows
-			}
-		}
-		x := xc.Floats[i]
-		if len(spec.XRanges) > 0 && !InRanges(x, spec.XRanges) {
-			continue
-		}
-		y := yc.Floats[i]
-		if !finite(x) || !finite(y) {
-			continue
-		}
-		z := zc.ValueString(i)
-		if _, seen := groups[z]; !seen {
-			order = append(order, z)
-		}
-		groups[z] = append(groups[z], point{x, y})
-	}
-	sort.Strings(order)
-
-	series := make([]Series, 0, len(order))
-	for _, z := range order {
-		pts := groups[z]
-		// Stable, so duplicate-x points keep row order: aggregation then
-		// sums duplicates in the same order as the index-backed path,
-		// keeping the two extraction paths float-bit-identical.
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-		s := Series{Z: z, X: make([]float64, 0, len(pts)), Y: make([]float64, 0, len(pts))}
-		for i := 0; i < len(pts); {
-			j := i
-			for j < len(pts) && pts[j].x == pts[i].x {
-				j++
-			}
-			if j-i > 1 && spec.Agg == AggNone {
-				return nil, duplicateErr(spec, z, pts[i].x)
-			}
-			s.X = append(s.X, pts[i].x)
-			s.Y = append(s.Y, aggregate(pts[i:j], spec.Agg))
-			i = j
-		}
-		series = append(series, s)
-	}
-	return series, nil
-}
+// Extract runs EXTRACT over a bare table through a transient Index (see
+// BuildIndex and Index.Extract). The transient index encodes only the z
+// column and the string columns the spec filters on, and writes nothing
+// to t.
+func Extract(t *Table, spec ExtractSpec) ([]Series, error) { return BuildIndex(t).Extract(spec) }
 
 type point struct{ x, y float64 }
-
-// duplicateErr is the shared AggNone-with-duplicates error of both
-// extraction paths.
-func duplicateErr(spec ExtractSpec, z string, x float64) error {
-	return fmt.Errorf("dataset: multiple y values at %s=%q, %s=%v; specify an aggregation",
-		spec.Z, z, spec.X, x)
-}
 
 func aggregate(pts []point, a Agg) float64 {
 	switch a {
@@ -443,8 +346,9 @@ func aggregate(pts []point, a Agg) float64 {
 }
 
 // InRanges reports whether x falls inside any of the inclusive [start, end]
-// windows. It is the one shared range test for the LOCATION push-down: the
-// EXTRACT row filter and the executor's GROUP skip-mask both use it.
+// windows: the LOCATION push-down's range test, which the executor's GROUP
+// skip mask applies per point. EXTRACT applies the same windows by binary
+// search (see normalizeRanges).
 func InRanges(x float64, ranges [][2]float64) bool {
 	for _, r := range ranges {
 		if x >= r[0] && x <= r[1] {

@@ -353,3 +353,21 @@ func TestOpenCSVMissing(t *testing.T) {
 		t.Error("missing file should error")
 	}
 }
+
+// TestParseAgg: every aggregation round-trips through String and ParseAgg,
+// the names "" and "none" are AggNone, and an unknown name is an error.
+func TestParseAgg(t *testing.T) {
+	for a := AggNone; a <= AggCount; a++ {
+		if got, err := ParseAgg(a.String()); err != nil || got != a {
+			t.Errorf("ParseAgg(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for _, name := range []string{"", "none"} {
+		if got, err := ParseAgg(name); err != nil || got != AggNone {
+			t.Errorf("ParseAgg(%q) = %v, %v; want none", name, got, err)
+		}
+	}
+	if _, err := ParseAgg("median"); err == nil {
+		t.Error("ParseAgg(median) should fail")
+	}
+}

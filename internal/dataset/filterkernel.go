@@ -3,15 +3,14 @@ package dataset
 import "fmt"
 
 // Vectorized filter kernels: a filter conjunction is validated and compiled
-// once per extraction into a FilterProgram, then applied over whole column
+// once per extraction into a filterProgram, then applied over whole column
 // slices into a selection bitmap — no per-row error checks or interface
-// dispatch in the hot loop, unlike the legacy Filter.matches path. The
-// bitmap is a []uint64 bitset with one bit per row.
+// dispatch in the hot loop. The bitmap is a []uint64 bitset with one bit
+// per row.
 
-// FilterProgram is a compiled, validated filter conjunction over one table.
-// Compile it once (CompileFilters), run it over the table's rows with Run.
-// A nil *FilterProgram selects every row.
-type FilterProgram struct {
+// filterProgram is a compiled, validated filter conjunction over one table.
+// A nil *filterProgram selects every row.
+type filterProgram struct {
 	kernels []kernel
 	rows    int
 }
@@ -20,16 +19,18 @@ type FilterProgram struct {
 // bitmap with one predicate's matches over the whole column.
 type kernel func(sel []uint64, first bool)
 
-// CompileFilters validates the filter conjunction against the table —
-// column existence and operator/type compatibility, with the same error
-// messages as the legacy per-row path — and compiles it into vectorized
-// kernels. Filters on dictionary-encoded string columns compare integer
-// codes when an encoding is supplied via enc (may be nil).
-func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*FilterProgram, error) {
+// compileFilters validates the filter conjunction against the indexed
+// table — column existence and operator/type compatibility — and compiles
+// it into vectorized kernels. A string filter compares codes of its
+// column's encoding, which it builds on first use and later extractions
+// reuse; a float filter compares values and builds nothing. Caller holds
+// dataMu.
+func (ix *Index) compileFilters(filters []Filter) (*filterProgram, error) {
 	if len(filters) == 0 {
 		return nil, nil
 	}
-	p := &FilterProgram{rows: t.NumRows()}
+	t := ix.t
+	p := &filterProgram{rows: t.rows}
 	for _, f := range filters {
 		ci, ok := t.byName[f.Col]
 		if !ok {
@@ -40,11 +41,7 @@ func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*
 			if f.Op != Eq && f.Op != Ne {
 				return nil, fmt.Errorf("dataset: operator %s not supported on string column %q", f.Op, f.Col)
 			}
-			var e *zEncoding
-			if enc != nil {
-				e = enc(ci)
-			}
-			p.kernels = append(p.kernels, stringKernel(c.Strings, e, f.Op, f.Str))
+			p.kernels = append(p.kernels, stringKernel(ix.encoding(ci), f.Op, f.Str))
 			continue
 		}
 		if f.Op < Eq || f.Op > Ge {
@@ -55,8 +52,8 @@ func CompileFilters(t *Table, filters []Filter, enc func(col int) *zEncoding) (*
 	return p, nil
 }
 
-// Run evaluates the program over all rows into a fresh selection bitmap.
-func (p *FilterProgram) Run() []uint64 {
+// run evaluates the program over all rows into a fresh selection bitmap.
+func (p *filterProgram) run() []uint64 {
 	sel := make([]uint64, (p.rows+63)/64)
 	for i, k := range p.kernels {
 		k(sel, i == 0)
@@ -92,34 +89,20 @@ func floatKernel(vals []float64, op FilterOp, num float64) kernel {
 	}
 }
 
-// stringKernel compares a string column against a constant. With a
-// dictionary encoding the comparison is one integer equality per row (a
-// constant value not in the dictionary short-circuits: Eq matches nothing,
-// Ne everything); without, it falls back to string comparison.
-func stringKernel(vals []string, e *zEncoding, op FilterOp, str string) kernel {
+// stringKernel compares a dictionary-encoded string column against a
+// constant: one integer equality per row. A constant absent from the
+// dictionary short-circuits: Eq matches nothing, Ne everything.
+func stringKernel(e *zEncoding, op FilterOp, str string) kernel {
+	codes := e.codes
+	code, present := e.lookup(str)
 	return func(sel []uint64, first bool) {
-		if e != nil {
-			code, present := e.lookup(str)
-			if !present {
-				if op == Eq {
-					applyWords(sel, first, len(vals), func(int) bool { return false })
-				} else {
-					applyWords(sel, first, len(vals), func(int) bool { return true })
-				}
-				return
-			}
-			codes := e.codes
-			if op == Eq {
-				applyWords(sel, first, len(codes), func(i int) bool { return codes[i] == code })
-			} else {
-				applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
-			}
-			return
-		}
-		if op == Eq {
-			applyWords(sel, first, len(vals), func(i int) bool { return vals[i] == str })
-		} else {
-			applyWords(sel, first, len(vals), func(i int) bool { return vals[i] != str })
+		switch {
+		case !present:
+			applyWords(sel, first, len(codes), func(int) bool { return op == Ne })
+		case op == Eq:
+			applyWords(sel, first, len(codes), func(i int) bool { return codes[i] == code })
+		default:
+			applyWords(sel, first, len(codes), func(i int) bool { return codes[i] != code })
 		}
 	}
 }

@@ -1,20 +1,23 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
-// Index is the columnar acceleration layer over a Table — the OLAP-style
-// physical design Section 5.1 assumes for EXTRACT. It holds
+// Index is the columnar EXTRACT operator over a Table — the OLAP-style
+// physical design Section 5.1 assumes. It holds
 //
-//   - dictionary encodings of grouping columns: each distinct rendered
-//     value gets an integer code, and a value-order view keeps extraction
-//     output sorted by the rendered value however codes were assigned, so
-//     z grouping compares integers and ValueString never runs in a hot
-//     loop (string columns are encoded eagerly at build time, float
-//     grouping keys lazily on first use);
+//   - dictionary encodings of grouping and string filter columns: each
+//     distinct rendered value gets an integer code in order of first
+//     appearance, and a value-order view keeps extraction output sorted by
+//     the rendered value, so z grouping compares integers and ValueString
+//     never runs in a hot loop. Every encoding is built on first use;
 //   - per (z, x) attribute pair, a memoized per-group row layout: each z
 //     code's rows sorted by (x value, row). Extraction becomes one pass
 //     over the groups in value order with no hash maps and no per-query
@@ -24,13 +27,13 @@ import (
 //     traffic) pay the sort once.
 //
 // Filters run as vectorized kernels into a selection bitmap (see
-// CompileFilters) instead of the legacy per-row checked Filter.matches.
-// Index.Extract returns Series identical — float-bit-for-bit — to the
-// legacy Extract over the same table and spec.
+// compileFilters). BuildIndex does no per-row work, so a transient index
+// (package-level Extract) pays only for the columns its spec reads.
 //
-// An Index is safe for concurrent use. The indexed table is NOT immutable:
-// Append grows it (and every built encoding and layout) in place under the
-// writer half of dataMu, so readers always observe a consistent snapshot.
+// An Index is safe for concurrent use. BuildIndex never writes to the
+// table; Append grows it (and every built encoding and layout) in place
+// under the writer half of dataMu, so readers always observe a consistent
+// snapshot.
 type Index struct {
 	t *Table
 
@@ -40,10 +43,10 @@ type Index struct {
 	// extended only under the write lock.
 	dataMu sync.RWMutex
 
-	// enc[ci] is the grouping encoding of column ci; string columns are
-	// filled at build time, float columns built lazily under mu.
+	// enc[ci] is the encoding of column ci, built on first use.
+	enc []lazyEnc
+
 	mu    sync.Mutex
-	enc   []*lazyEnc
 	perms map[permKey]*lazyPerm
 }
 
@@ -59,15 +62,22 @@ type lazyPerm struct {
 	p    *zxPerm
 }
 
-// zEncoding dictionary-encodes one column's rendered values. The dictionary
-// is append-only — Append assigns fresh codes to unseen values without ever
-// re-encoding existing rows — so codes carry no order; the order view lists
-// codes by ascending rendered value and is what keeps extraction output
-// sorted the way legacy extraction sorts group names.
+// zEncoding dictionary-encodes one column's rendered values. Codes are
+// assigned in order of first appearance and the dictionary is append-only —
+// Append gives unseen values fresh codes without ever re-encoding existing
+// rows — so codes carry no order; the order view lists codes by ascending
+// rendered value and is what keeps extraction output sorted by group name.
 type zEncoding struct {
 	codes []uint32 // row -> code, append-only
 	dict  []string // code -> rendered value, append-only
 	order []uint32 // codes in ascending dict-value order
+}
+
+// encodeColumn builds a column's encoding.
+func encodeColumn(c *Column) *zEncoding {
+	e := &zEncoding{}
+	e.extend(c)
+	return e
 }
 
 // lookup returns the code of a rendered value.
@@ -79,34 +89,53 @@ func (e *zEncoding) lookup(v string) (uint32, bool) {
 	return 0, false
 }
 
-// extend assigns codes to appended rendered values: known values reuse
-// their code, unseen values get fresh codes at the end of the dictionary,
-// and the value-order view is re-sorted once (O(d log d) in the distinct
-// count, independent of the existing row count).
-func (e *zEncoding) extend(rendered []string) {
+// extend encodes the rows of c past the last encoded one in one pass. A
+// row equal to the previous row takes its code without a lookup — a table
+// laid out series by series keeps each group's rows together, so most rows
+// cost one comparison — known values reuse their code, and unseen values
+// get fresh codes at the end of the dictionary. The value-order view is
+// then re-sorted once, O(d log d) in the distinct count.
+func (e *zEncoding) extend(c *Column) {
+	lo, hi := len(e.codes), c.Len()
+	known := len(e.dict)
+	e.codes = slices.Grow(e.codes, hi-lo)
 	var added map[string]uint32
-	for _, v := range rendered {
-		code, ok := e.lookup(v)
+	for i := lo; i < hi; i++ {
+		if i > 0 && sameValue(c, i, i-1) {
+			e.codes = append(e.codes, e.codes[i-1])
+			continue
+		}
+		v := c.ValueString(i)
+		code, ok := added[v]
 		if !ok {
-			if c, dup := added[v]; dup {
-				code = c
-			} else {
-				code = uint32(len(e.dict))
-				e.dict = append(e.dict, v)
-				if added == nil {
-					added = make(map[string]uint32)
-				}
-				added[v] = code
+			code, ok = e.lookup(v)
+		}
+		if !ok {
+			code = uint32(len(e.dict))
+			e.dict = append(e.dict, v)
+			if added == nil {
+				added = make(map[string]uint32)
 			}
+			added[v] = code
 		}
 		e.codes = append(e.codes, code)
 	}
-	if added != nil {
-		for _, code := range added {
-			e.order = append(e.order, code)
-		}
-		sort.Slice(e.order, func(a, b int) bool { return e.dict[e.order[a]] < e.dict[e.order[b]] })
+	if len(e.dict) == known {
+		return
 	}
+	for code := known; code < len(e.dict); code++ {
+		e.order = append(e.order, uint32(code))
+	}
+	slices.SortFunc(e.order, func(a, b uint32) int { return strings.Compare(e.dict[a], e.dict[b]) })
+}
+
+// sameValue reports whether rows i and j of c render alike. Equal float
+// bits render alike; −0 and +0 do not, so floats compare by bits, not ==.
+func sameValue(c *Column, i, j int) bool {
+	if c.Type == String {
+		return c.Strings[i] == c.Strings[j]
+	}
+	return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
 }
 
 // zxPerm is the memoized physical layout for one (z, x) attribute pair:
@@ -114,33 +143,19 @@ func (e *zEncoding) extend(rendered []string) {
 // Extraction iterates groups in the encoding's value order, so output
 // order never depends on code-assignment order.
 type zxPerm struct {
-	groups []*zrows // indexed by z code; nil = no rows
+	groups [][]int32 // indexed by z code; empty = no rows
 }
 
-// zrows is one z group's row list, sorted by (x, row).
-type zrows struct {
-	rows []int32
-}
-
-// BuildIndex builds the columnar index for a table: every string column is
-// dictionary-encoded up front (one O(rows) pass plus an O(d log d) sort of
-// d distinct values per column); grouping encodings for float columns and
-// (z, x) layouts are built lazily on first use. The table is owned by the
-// index afterwards — Append grows it in place.
+// BuildIndex returns the columnar index for a table. It does no per-row
+// work: each column's encoding and each (z, x) layout is built by the
+// first extraction that needs it. BuildIndex never writes to t; only
+// Append grows it, in place.
 func BuildIndex(t *Table) *Index {
-	ix := &Index{
+	return &Index{
 		t:     t,
-		enc:   make([]*lazyEnc, len(t.cols)),
+		enc:   make([]lazyEnc, len(t.cols)),
 		perms: make(map[permKey]*lazyPerm),
 	}
-	for ci := range t.cols {
-		ix.enc[ci] = &lazyEnc{}
-		if t.cols[ci].Type == String {
-			e := ix.enc[ci]
-			e.once.Do(func() { e.enc = buildEncoding(&t.cols[ci]) })
-		}
-	}
-	return ix
 }
 
 // Table returns the indexed table, making *Index a Source. The table is a
@@ -156,62 +171,12 @@ func (ix *Index) NumRows() int {
 	return ix.t.rows
 }
 
-// buildEncoding dictionary-encodes a column's rendered values.
-func buildEncoding(c *Column) *zEncoding {
-	n := c.Len()
-	rendered := renderColumn(c, 0, n)
-	distinct := make(map[string]struct{}, 64)
-	for _, v := range rendered {
-		distinct[v] = struct{}{}
-	}
-	dict := make([]string, 0, len(distinct))
-	for v := range distinct {
-		dict = append(dict, v)
-	}
-	sort.Strings(dict)
-	byValue := make(map[string]uint32, len(dict))
-	order := make([]uint32, len(dict))
-	for code, v := range dict {
-		byValue[v] = uint32(code)
-		order[code] = uint32(code)
-	}
-	codes := make([]uint32, n)
-	for i, v := range rendered {
-		codes[i] = byValue[v]
-	}
-	return &zEncoding{codes: codes, dict: dict, order: order}
-}
-
-// renderColumn renders rows [lo, hi) of a column as grouping keys.
-func renderColumn(c *Column, lo, hi int) []string {
-	rendered := make([]string, hi-lo)
-	if c.Type == String {
-		copy(rendered, c.Strings[lo:hi])
-		return rendered
-	}
-	for i := lo; i < hi; i++ {
-		rendered[i-lo] = c.ValueString(i)
-	}
-	return rendered
-}
-
-// encoding returns the grouping encoding for column ci, building it on
-// first use for float columns.
+// encoding returns the encoding of column ci, building it on first use.
+// Caller holds dataMu.
 func (ix *Index) encoding(ci int) *zEncoding {
-	e := ix.enc[ci]
-	e.once.Do(func() { e.enc = buildEncoding(&ix.t.cols[ci]) })
+	e := &ix.enc[ci]
+	e.once.Do(func() { e.enc = encodeColumn(&ix.t.cols[ci]) })
 	return e.enc
-}
-
-// builtEncoding returns the encoding for column ci only if it has already
-// been built (used by filter compilation, which must not pay an encoding
-// build for a column that is merely filtered on).
-func (ix *Index) builtEncoding(ci int) *zEncoding {
-	e := ix.enc[ci]
-	if ix.t.cols[ci].Type == String {
-		return e.enc // eager, always built
-	}
-	return nil
 }
 
 // perm returns the memoized (z, x) layout, building it on first use.
@@ -228,44 +193,59 @@ func (ix *Index) perm(zi, xi int) *zxPerm {
 	return lp.p
 }
 
-// buildPerm buckets row ids by z code, dropping non-finite-x rows (they can
-// never appear in a series for this x attribute), and sorts each group by
-// (x, row).
+// buildPerm buckets row ids by z code in two counting passes, dropping
+// non-finite-x rows (they can never appear in a series for this x
+// attribute), and sorts each group by (x, row). The groups share one
+// backing array, each capped at its own length so Append's growth of one
+// group copies it rather than overwriting the next.
 func (ix *Index) buildPerm(zi, xi int) *zxPerm {
 	enc := ix.encoding(zi)
 	xs := ix.t.cols[xi].Floats
 	codes := enc.codes
-	p := &zxPerm{groups: make([]*zrows, len(enc.dict))}
-	for i := 0; i < ix.t.rows; i++ {
-		if !finite(xs[i]) {
-			continue
+	ends := make([]int, len(enc.dict))
+	for i, c := range codes {
+		if finite(xs[i]) {
+			ends[c]++
 		}
-		g := p.groups[codes[i]]
-		if g == nil {
-			g = &zrows{}
-			p.groups[codes[i]] = g
-		}
-		g.rows = append(g.rows, int32(i))
 	}
-	for _, g := range p.groups {
-		if g != nil {
-			sortByXRow(g.rows, xs)
+	total := 0
+	for c, n := range ends {
+		total += n
+		ends[c] = total
+	}
+	// Filling back to front leaves each group row-ascending and ends[c] at
+	// the group's start.
+	rows := make([]int32, total)
+	for i := len(codes) - 1; i >= 0; i-- {
+		if finite(xs[i]) {
+			ends[codes[i]]--
+			rows[ends[codes[i]]] = int32(i)
 		}
+	}
+	p := &zxPerm{groups: make([][]int32, len(enc.dict))}
+	for c, lo := range ends {
+		hi := total
+		if c+1 < len(ends) {
+			hi = ends[c+1]
+		}
+		p.groups[c] = rows[lo:hi:hi]
+		sortByXRow(p.groups[c], xs)
 	}
 	return p
 }
 
-// sortByXRow sorts a row list by (x value, row id). Inputs gathered in
-// ascending row order stay row-ascending within equal x.
+// sortByXRow sorts a row list by (x value, row id), checking first whether
+// it already is: rows laid out in x order within each group need no sort.
 func sortByXRow(rows []int32, xs []float64) {
-	sort.Slice(rows, func(a, b int) bool {
-		ra, rb := rows[a], rows[b]
-		xa, xb := xs[ra], xs[rb]
-		if xa != xb {
-			return xa < xb
+	byXRow := func(a, b int32) int {
+		if c := cmp.Compare(xs[a], xs[b]); c != 0 {
+			return c
 		}
-		return ra < rb
-	})
+		return cmp.Compare(a, b)
+	}
+	if !slices.IsSortedFunc(rows, byXRow) {
+		slices.SortFunc(rows, byXRow)
+	}
 }
 
 // extend absorbs appended rows [base, total) into the layout: the delta is
@@ -276,7 +256,7 @@ func sortByXRow(rows []int32, xs []float64) {
 // never the corpus's.
 func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 	if len(p.groups) < len(enc.dict) {
-		p.groups = append(p.groups, make([]*zrows, len(enc.dict)-len(p.groups))...)
+		p.groups = append(p.groups, make([][]int32, len(enc.dict)-len(p.groups))...)
 	}
 	var touched []uint32
 	tails := make(map[uint32][]int32)
@@ -293,14 +273,9 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 	for _, c := range touched {
 		tail := tails[c]
 		sortByXRow(tail, xs)
-		g := p.groups[c]
-		if g == nil {
-			p.groups[c] = &zrows{rows: tail}
-			continue
-		}
-		old := g.rows
+		old := p.groups[c]
 		if len(old) == 0 || xs[tail[0]] >= xs[old[len(old)-1]] {
-			g.rows = append(old, tail...)
+			p.groups[c] = append(old, tail...)
 			continue
 		}
 		// Out-of-order arrival: merge the sorted tail into the sorted group.
@@ -319,7 +294,7 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 		}
 		merged = append(merged, old[i:]...)
 		merged = append(merged, tail[j:]...)
-		g.rows = merged
+		p.groups[c] = merged
 	}
 }
 
@@ -348,12 +323,12 @@ func (ix *Index) Append(delta *Table) error {
 		}
 	}
 	t.rows += delta.rows
-	for ci := range t.cols {
+	for ci := range ix.enc {
 		// Built encodings extend in place; lp.p / e.enc reads are safe here
 		// because every lazy build runs under the read lock, which the write
 		// lock excludes.
 		if e := ix.enc[ci].enc; e != nil {
-			e.extend(renderColumn(&t.cols[ci], base, t.rows))
+			e.extend(&t.cols[ci])
 		}
 	}
 	for key, lp := range ix.perms {
@@ -382,10 +357,11 @@ func validateAppendSchema(t, delta *Table) error {
 	return nil
 }
 
-// Extract is the index-backed EXTRACT: filters run as vectorized kernels
-// into a selection bitmap, grouping walks the memoized (z, x) groups in
-// value order, and XRanges narrow each group by binary search. Output is
-// identical to the legacy Extract(t, spec).
+// Extract selects and aggregates records into one Series per distinct z
+// value, sorted on z then x (the EXTRACT physical operator, Section 5.3):
+// filters run as vectorized kernels into a selection bitmap, grouping walks
+// the memoized (z, x) groups in value order, and XRanges narrow each group
+// by binary search.
 func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	ix.dataMu.RLock()
 	defer ix.dataMu.RUnlock()
@@ -396,13 +372,13 @@ func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	series := make([]Series, 0, len(st.enc.order))
 	var pts []point // scratch, reused across groups
 	for _, code := range st.enc.order {
-		g := st.p.groups[code]
-		if g == nil || len(g.rows) == 0 {
+		rows := st.p.groups[code]
+		if len(rows) == 0 {
 			continue
 		}
 		var s Series
 		var ok bool
-		pts, s, ok, err = st.extractGroup(g.rows, st.enc.dict[code], spec, pts)
+		pts, s, ok, err = st.extractGroup(rows, st.enc.dict[code], spec, pts)
 		if err != nil {
 			return nil, err
 		}
@@ -438,12 +414,12 @@ func (ix *Index) ExtractGroups(spec ExtractSpec, zvals []string) ([]Series, erro
 		if !ok {
 			continue
 		}
-		g := st.p.groups[code]
-		if g == nil || len(g.rows) == 0 {
+		rows := st.p.groups[code]
+		if len(rows) == 0 {
 			continue
 		}
 		var s Series
-		pts, s, ok, err = st.extractGroup(g.rows, z, spec, pts)
+		pts, s, ok, err = st.extractGroup(rows, z, spec, pts)
 		if err != nil {
 			return nil, err
 		}
@@ -477,7 +453,7 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	}
 	zi := t.byName[spec.Z]
 	xi := t.byName[spec.X]
-	prog, err := CompileFilters(t, spec.Filters, ix.builtEncoding)
+	prog, err := ix.compileFilters(spec.Filters)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +463,7 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	}
 	var sel []uint64
 	if prog != nil {
-		sel = prog.Run()
+		sel = prog.run()
 	}
 	return &extractCtx{
 		enc: ix.encoding(zi),
@@ -538,8 +514,7 @@ func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts
 }
 
 // buildSeries aggregates one z group's points (already in (x, row) order)
-// into a Series, sharing the legacy path's aggregate helper and its
-// AggNone duplicate error.
+// into a Series; duplicate x values under AggNone are an error.
 func buildSeries(z string, pts []point, spec ExtractSpec) (Series, error) {
 	s := Series{Z: z, X: make([]float64, 0, len(pts)), Y: make([]float64, 0, len(pts))}
 	for i := 0; i < len(pts); {
@@ -548,7 +523,8 @@ func buildSeries(z string, pts []point, spec ExtractSpec) (Series, error) {
 			j++
 		}
 		if j-i > 1 && spec.Agg == AggNone {
-			return Series{}, duplicateErr(spec, z, pts[i].x)
+			return Series{}, fmt.Errorf("dataset: multiple y values at %s=%q, %s=%v; specify an aggregation",
+				spec.Z, z, spec.X, pts[i].x)
 		}
 		s.X = append(s.X, pts[i].x)
 		s.Y = append(s.Y, aggregate(pts[i:j], spec.Agg))

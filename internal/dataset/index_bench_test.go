@@ -41,55 +41,48 @@ func benchTable(groups, perGroup int) *Table {
 	return tbl
 }
 
-// BenchmarkIndexBuild isolates the one-time cost Register pays per upload:
-// eager string dictionaries only; permutations are lazy.
-func BenchmarkIndexBuild(b *testing.B) {
-	for _, size := range []struct{ groups, perGroup int }{
-		{100, 100}, {1000, 100},
+// BenchmarkIndexFirstExtract measures one-shot extraction: Extract builds
+// a transient index, encodes the columns the spec reads and builds the
+// (z, x) layout, so this is the full price of extracting from a bare table
+// once. Legacy is the row-at-a-time oracle on the same spec. The Filtered
+// pair adds a float and a string filter; the string filter encodes its
+// column too.
+func BenchmarkIndexFirstExtract(b *testing.B) {
+	tbl := benchTable(500, 100)
+	plain := ExtractSpec{Z: "z", X: "x", Y: "y"}
+	filtered := ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{
+		{Col: "region", Op: Le, Num: 5},
+		{Col: "sector", Op: Ne, Str: "energy"},
+	}}
+	for _, c := range []struct {
+		name    string
+		spec    ExtractSpec
+		extract func(*Table, ExtractSpec) ([]Series, error)
+	}{
+		{"Legacy", plain, legacyExtract},
+		{"Extract", plain, Extract},
+		{"FilteredLegacy", filtered, legacyExtract},
+		{"FilteredExtract", filtered, Extract},
 	} {
-		tbl := benchTable(size.groups, size.perGroup)
-		b.Run(fmt.Sprintf("rows=%d", tbl.NumRows()), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildIndex(tbl)
+				if _, err := c.extract(tbl, c.spec); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkIndexFirstExtract measures the cold path: index build plus the
-// first extraction, which also builds the (z, x) permutation. This is the
-// full price of switching a one-shot extraction to the indexed path.
-func BenchmarkIndexFirstExtract(b *testing.B) {
-	tbl := benchTable(500, 100)
-	spec := ExtractSpec{Z: "z", X: "x", Y: "y"}
-	b.Run("Legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("IndexedCold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := BuildIndex(tbl).Extract(spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkExtractDistinctFilters is the cache-miss traffic the index
 // targets: repeated queries over one registered dataset whose filters vary
 // per query, so the server's exact-spec candidate cache never hits. The
-// legacy path re-renders z, re-hashes and re-sorts every group per query;
-// the indexed path pays a bitmap sweep and one pass over presorted runs.
+// row-at-a-time oracle re-renders z, re-hashes and re-sorts every group
+// per query; the index pays a bitmap sweep and one pass over presorted
+// runs.
 func BenchmarkExtractDistinctFilters(b *testing.B) {
 	tbl := benchTable(500, 100)
 	ix := BuildIndex(tbl)
-	// Warm the (z, x) permutation so the steady state is measured.
-	if _, err := ix.Extract(ExtractSpec{Z: "z", X: "x", Y: "y"}); err != nil {
-		b.Fatal(err)
-	}
 	specAt := func(i int) ExtractSpec {
 		return ExtractSpec{
 			Z: "z", X: "x", Y: "y",
@@ -99,9 +92,14 @@ func BenchmarkExtractDistinctFilters(b *testing.B) {
 			},
 		}
 	}
+	// Warm the (z, x) permutation and the sector encoding so the steady
+	// state is measured.
+	if _, err := ix.Extract(specAt(0)); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, specAt(i)); err != nil {
+			if _, err := legacyExtract(tbl, specAt(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +114,7 @@ func BenchmarkExtractDistinctFilters(b *testing.B) {
 }
 
 // BenchmarkExtractXRange measures the LOCATION push-down: binary-searched
-// run restriction versus the legacy per-row range test.
+// run restriction versus the oracle's per-row range test.
 func BenchmarkExtractXRange(b *testing.B) {
 	tbl := benchTable(500, 100)
 	ix := BuildIndex(tbl)
@@ -126,7 +124,7 @@ func BenchmarkExtractXRange(b *testing.B) {
 	}
 	b.Run("Legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Extract(tbl, spec); err != nil {
+			if _, err := legacyExtract(tbl, spec); err != nil {
 				b.Fatal(err)
 			}
 		}

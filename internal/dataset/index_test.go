@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -117,8 +118,8 @@ func randomSpec(rng *rand.Rand) ExtractSpec {
 
 // TestIndexedExtractMatchesLegacy is the equivalence property test: for
 // random tables and specs (filters, aggs, XRanges, float and string z),
-// index-backed extraction returns series identical to the legacy Extract —
-// including which error, if any, is reported.
+// index-backed extraction returns series identical to the row-at-a-time
+// oracle legacyExtract — including which error, if any, is reported.
 func TestIndexedExtractMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 400; iter++ {
@@ -126,7 +127,7 @@ func TestIndexedExtractMatchesLegacy(t *testing.T) {
 		ix := BuildIndex(tbl)
 		for q := 0; q < 4; q++ {
 			spec := randomSpec(rng)
-			legacy, lerr := Extract(tbl, spec)
+			legacy, lerr := legacyExtract(tbl, spec)
 			indexed, xerr := ix.Extract(spec)
 			if (lerr == nil) != (xerr == nil) {
 				t.Fatalf("iter %d spec %+v: legacy err %v, indexed err %v", iter, spec, lerr, xerr)
@@ -142,8 +143,8 @@ func TestIndexedExtractMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestIndexedExtractErrors mirrors the legacy validation errors through the
-// indexed path.
+// TestIndexedExtractErrors pins the validation errors of a long-lived
+// index.
 func TestIndexedExtractErrors(t *testing.T) {
 	tbl := sampleTable(t)
 	ix := BuildIndex(tbl)
@@ -185,7 +186,7 @@ func TestIndexConcurrentExtract(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				spec := specs[(w+i)%len(specs)]
-				legacy, lerr := Extract(tbl, spec)
+				legacy, lerr := legacyExtract(tbl, spec)
 				indexed, xerr := ix.Extract(spec)
 				if lerr != nil || xerr != nil {
 					t.Errorf("unexpected error: %v / %v", lerr, xerr)
@@ -248,11 +249,11 @@ func TestFilterProgram(t *testing.T) {
 	}
 	ix := BuildIndex(tbl)
 	count := func(filters ...Filter) int {
-		prog, err := CompileFilters(tbl, filters, ix.builtEncoding)
+		prog, err := ix.compileFilters(filters)
 		if err != nil {
-			t.Fatalf("CompileFilters(%+v): %v", filters, err)
+			t.Fatalf("compileFilters(%+v): %v", filters, err)
 		}
-		sel := prog.Run()
+		sel := prog.run()
 		n := 0
 		for i := 0; i < rows; i++ {
 			if selected(sel, i) {
@@ -298,17 +299,17 @@ func TestFilterProgram(t *testing.T) {
 		}
 	}
 	// Validation errors surface at compile time.
-	if _, err := CompileFilters(tbl, []Filter{{Col: "s", Op: Gt, Str: "a"}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "s", Op: Gt, Str: "a"}}); err == nil {
 		t.Error("Gt on string column should fail to compile")
 	}
-	if _, err := CompileFilters(tbl, []Filter{{Col: "ghost", Op: Eq}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "ghost", Op: Eq}}); err == nil {
 		t.Error("missing column should fail to compile")
 	}
-	if _, err := CompileFilters(tbl, []Filter{{Col: "v", Op: FilterOp(99)}}, nil); err == nil {
+	if _, err := ix.compileFilters([]Filter{{Col: "v", Op: FilterOp(99)}}); err == nil {
 		t.Error("unknown operator should fail to compile")
 	}
 	// No filters: nil program selects everything.
-	prog, err := CompileFilters(tbl, nil, nil)
+	prog, err := ix.compileFilters(nil)
 	if err != nil || prog != nil {
 		t.Fatalf("empty filter program = %v, %v", prog, err)
 	}
@@ -333,5 +334,66 @@ func TestIndexPermMemoized(t *testing.T) {
 	p2 := ix.perm(tbl.byName["product"], tbl.byName["year"])
 	if p1 != p2 {
 		t.Error("permutation was rebuilt for a second query over the same (z, x)")
+	}
+}
+
+// TestIndexLazyEncodings pins what each extraction builds: a new index
+// holds no encoding, the first extraction encodes its z column, a float
+// filter encodes nothing, and a string filter encodes its own column. No
+// extraction writes to the table.
+func TestIndexLazyEncodings(t *testing.T) {
+	tbl, err := New(
+		strCol("z", "b", "b", "a", "a", "c"),
+		floatCol("x", 1, 2, 1, 2, 1),
+		floatCol("y", 5, 6, 7, 8, 9),
+		floatCol("f", 0, 1, 0, 1, 0),
+		strCol("s", "p", "q", "p", "q", "p"),
+		floatCol("zf", 3, 3, 4, 4, 5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := copyTable(tbl)
+	ix := BuildIndex(tbl)
+	built := func() []string {
+		var names []string
+		for ci := range ix.enc {
+			if ix.enc[ci].enc != nil {
+				names = append(names, tbl.cols[ci].Name)
+			}
+		}
+		return names
+	}
+	steps := []struct {
+		spec ExtractSpec
+		want []string
+	}{
+		{ExtractSpec{}, nil}, // a new index: nothing built yet
+		{ExtractSpec{Z: "z", X: "x", Y: "y"}, []string{"z"}},
+		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "f", Op: Lt, Num: 1}}}, []string{"z"}},
+		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "s", Op: Eq, Str: "p"}}}, []string{"z", "s"}},
+		{ExtractSpec{Z: "zf", X: "x", Y: "y"}, []string{"z", "s", "zf"}},
+	}
+	for i, st := range steps {
+		if i > 0 {
+			got, err := ix.Extract(st.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := legacyExtract(tbl, st.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSeriesIdentical(t, want, got)
+		}
+		if got := built(); !slices.Equal(got, st.want) {
+			t.Errorf("step %d (%+v): built encodings %v, want %v", i, st.spec, got, st.want)
+		}
+	}
+	for ci, c := range tbl.cols {
+		b := before.cols[ci]
+		if c.Len() != b.Len() || !slices.Equal(c.Strings, b.Strings) || !slices.Equal(c.Floats, b.Floats) {
+			t.Fatalf("column %q changed under extraction: %+v, was %+v", c.Name, c, b)
+		}
 	}
 }

@@ -301,7 +301,7 @@ func (ce *chainEval) evalSegment(n *shape.Node, t, i, j int) float64 {
 	if len(seg.Sketch) > 0 {
 		// The query-y values are query-static; Compile hoists them per
 		// segment node.
-		consider(ce.opts.SketchConfig.SketchL2(ce.opts.sketchQY[n], v.Series.Y[i:j+1]))
+		consider(score.DefaultSketchConfig().SketchL2(ce.opts.sketchQY[n], v.Series.Y[i:j+1]))
 	}
 	if seg.Pat.Kind == shape.PatNone && hasYPins {
 		// Anchor-line similarity: how closely the trend follows the line
@@ -453,12 +453,11 @@ func (ce *chainEval) evalQuantifier(seg *shape.Segment, i, j int) float64 {
 		}
 		pairScores[k-i] = score.ForKind(seg.Pat.Kind, slope, seg.Pat.Slope)
 	}
-	threshold := ce.opts.QuantifierThreshold
 	minRun := int(ce.opts.MinSegmentFrac * float64(v.N()-1))
 	if minRun < 1 {
 		minRun = 1
 	}
-	ctx.runsBuf = score.PositiveRunsInto(ctx.runsBuf[:0], pairScores, threshold)
+	ctx.runsBuf = score.PositiveRunsInto(ctx.runsBuf[:0], pairScores, score.DefaultQuantifierThreshold)
 	runs := ctx.runsBuf
 	// Directional occurrences must also move perceptibly: a run that rises
 	// by a small fraction of the chart's y spread is noise, not a "rise",
@@ -483,7 +482,7 @@ func (ce *chainEval) evalQuantifier(seg *shape.Segment, i, j int) float64 {
 		runScores = append(runScores, score.ForKind(seg.Pat.Kind, slope, seg.Pat.Slope))
 	}
 	ctx.runScores = runScores
-	return score.Quantifier(seg.Mod, runScores, threshold)
+	return score.Quantifier(seg.Mod, runScores, score.DefaultQuantifierThreshold)
 }
 
 // evalNested scores a nested sub-query pattern over [i, j] by segmenting

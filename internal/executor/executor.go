@@ -55,6 +55,23 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm parses an algorithm name as String renders it; the empty
+// name is AlgAuto and "tree" is AlgSegmentTree.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch name {
+	case "":
+		return AlgAuto, nil
+	case "tree":
+		return AlgSegmentTree, nil
+	}
+	for a := AlgAuto; a <= AlgEuclidean; a++ {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return AlgAuto, fmt.Errorf("unknown algorithm %q", name)
+}
+
 // Options configures a search.
 type Options struct {
 	// Algorithm is the segmentation strategy (default AlgAuto).
@@ -86,18 +103,8 @@ type Options struct {
 	// visualizations (default 0: auto, meaning GOMAXPROCS). All engines
 	// honor it, the DTW/Euclidean distance baselines included.
 	Parallelism int
-	// QuantifierThreshold overrides the zero score threshold above which a
-	// sub-segment counts as a pattern occurrence.
-	QuantifierThreshold float64
 	// UDPs holds user-defined patterns referenced by the query.
 	UDPs *score.Registry
-	// SketchConfig tunes precise sketch matching.
-	SketchConfig score.SketchConfig
-	// MaxExhaustivePoints caps AlgExhaustive input size (default 64).
-	MaxExhaustivePoints int
-	// DTWBand is the Sakoe–Chiba band half-width for AlgDTW
-	// (default −1: unconstrained).
-	DTWBand int
 	// DisableAutoIndex keeps large pruned scans on the flat bound-first
 	// path instead of building a throwaway corpus shape index per run (see
 	// internal/shapeindex). Results are identical either way; the flag
@@ -136,15 +143,12 @@ type Options struct {
 // DefaultOptions returns the system defaults.
 func DefaultOptions() Options {
 	return Options{
-		Algorithm:           AlgAuto,
-		K:                   10,
-		Stride:              1,
-		MinSegmentFrac:      0.05,
-		Pushdown:            true,
-		Parallelism:         0, // auto: GOMAXPROCS workers
-		SketchConfig:        score.DefaultSketchConfig(),
-		MaxExhaustivePoints: 64,
-		DTWBand:             -1,
+		Algorithm:      AlgAuto,
+		K:              10,
+		Stride:         1,
+		MinSegmentFrac: 0.05,
+		Pushdown:       true,
+		Parallelism:    0, // auto: GOMAXPROCS workers
 	}
 }
 
@@ -160,12 +164,6 @@ func (o Options) normalized() *Options {
 	}
 	if o.UDPs == nil {
 		o.UDPs = score.NewRegistry()
-	}
-	if o.SketchConfig.Tau <= 0 {
-		o.SketchConfig = score.DefaultSketchConfig()
-	}
-	if o.MaxExhaustivePoints <= 0 {
-		o.MaxExhaustivePoints = 64
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

@@ -430,6 +430,64 @@ func TestDTWAndEuclideanSearch(t *testing.T) {
 	}
 }
 
+// TestDTWZeroOptionsUnconstrained: a zero-value Options ranks by DTW
+// exactly as DefaultOptions does, with unconstrained warping. On
+// equal-length series a diagonal-only DTW is the Euclidean ranking, so the
+// corpus is one where DTW and Euclidean rank differently.
+func TestDTWZeroOptionsUnconstrained(t *testing.T) {
+	series := allocSeries(60, 24)
+	q := regexlang.MustParse("u ; d ; u")
+	rank := func(opts Options) []Result {
+		t.Helper()
+		res, err := searchSeries(series, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(a, b []Result) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Z != b[i].Z || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				return false
+			}
+		}
+		return true
+	}
+	def := DefaultOptions()
+	def.Algorithm = AlgDTW
+	want := rank(def)
+	def.Algorithm = AlgEuclidean
+	if same(want, rank(def)) {
+		t.Fatal("corpus does not separate DTW from Euclidean rankings")
+	}
+	if got := rank(Options{Algorithm: AlgDTW}); !same(got, want) {
+		t.Fatalf("zero-value Options DTW ranks %s (%v) first, DefaultOptions %s (%v)",
+			got[0].Z, got[0].Score, want[0].Z, want[0].Score)
+	}
+}
+
+// TestParseAlgorithm: every algorithm round-trips through String and
+// ParseAlgorithm, the names "" and "auto" parse to AlgAuto and "tree" to
+// AlgSegmentTree, and an unknown name is an error.
+func TestParseAlgorithm(t *testing.T) {
+	for a := AlgAuto; a <= AlgEuclidean; a++ {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for name, want := range map[string]Algorithm{"": AlgAuto, "auto": AlgAuto, "tree": AlgSegmentTree} {
+		if got, err := ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseAlgorithm("bogus"); err == nil {
+		t.Error("ParseAlgorithm(bogus) should fail")
+	}
+}
+
 func TestParallelismEquivalence(t *testing.T) {
 	series := peakValleySeries()
 	seq := seqOpts()

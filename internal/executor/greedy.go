@@ -62,11 +62,15 @@ func greedyRun(ce *chainEval, t1, t2, lo, hi int) runResult {
 	return runResult{score: cur, ranges: breaksToRanges(lo, hi, breaks)}
 }
 
+// maxExhaustivePoints caps AlgExhaustive's input size: a chart with more
+// points fails the search instead of enumerating for hours.
+const maxExhaustivePoints = 64
+
 // exhaustiveRun enumerates every possible break placement — the ground
 // truth oracle for small inputs. Unlike the search engines it scores each
 // complete segmentation with POSITION references resolved, so it is exact
 // even for queries the other engines approximate. Exponential; guarded by
-// Options.MaxExhaustivePoints.
+// maxExhaustivePoints.
 func exhaustiveRun(ce *chainEval, t1, t2, lo, hi int) runResult {
 	k := t2 - t1 + 1
 	if hi-lo < k {

@@ -121,18 +121,10 @@ func compatibleOpts(a, b *Options) error {
 		return fmt.Errorf("pushdown %v != %v", a.Pushdown, b.Pushdown)
 	case a.Pruning != b.Pruning:
 		return fmt.Errorf("pruning %v != %v", a.Pruning, b.Pruning)
-	case a.QuantifierThreshold != b.QuantifierThreshold:
-		return fmt.Errorf("quantifierThreshold %v != %v", a.QuantifierThreshold, b.QuantifierThreshold)
 	case a.UDPs != b.UDPs && (len(a.UDPs.Names()) > 0 || len(b.UDPs.Names()) > 0):
 		// Distinct empty registries (the per-compile default) define the
 		// same (absent) patterns; distinct non-empty ones may not.
 		return fmt.Errorf("distinct UDP registries")
-	case a.SketchConfig != b.SketchConfig:
-		return fmt.Errorf("sketchConfig %v != %v", a.SketchConfig, b.SketchConfig)
-	case a.MaxExhaustivePoints != b.MaxExhaustivePoints:
-		return fmt.Errorf("maxExhaustivePoints %d != %d", a.MaxExhaustivePoints, b.MaxExhaustivePoints)
-	case a.DTWBand != b.DTWBand:
-		return fmt.Errorf("dtwBand %d != %d", a.DTWBand, b.DTWBand)
 	}
 	return nil
 }

@@ -203,9 +203,9 @@ func (r *batchRun) bound(ec *evalCtx, v *Viz, id int32, s []slot) float64 {
 // recording that v exceeds the exhaustive engine's size limit.
 func (r *batchRun) score(ec *evalCtx, v *Viz, id int32, s []slot) bool {
 	o0 := r.plans[0].opts
-	if o0.Algorithm == AlgExhaustive && v.N() > o0.MaxExhaustivePoints {
+	if o0.Algorithm == AlgExhaustive && v.N() > maxExhaustivePoints {
 		r.fail(fmt.Errorf("executor: exhaustive search limited to %d points, series %q has %d",
-			o0.MaxExhaustivePoints, v.Series.Z, v.N()))
+			maxExhaustivePoints, v.Series.Z, v.N()))
 		return false
 	}
 	prune := r.plans[0].prune
@@ -539,9 +539,11 @@ func traverse(ctx context.Context, plans []*Plan, ix *VizIndex, st *IndexStats) 
 // forEachIndex runs fn over [0, n) on the given number of worker
 // goroutines (inline when one suffices), returning once all calls finish.
 // fn receives its worker's index (always < workers) so callers can hand
-// each worker private state. Cancellation is cooperative: once ctx is done
-// no further indices are dispatched, in-flight calls finish, and the
-// context's error is returned.
+// each worker private state. Workers claim indices from a shared atomic
+// counter, so a claim never waits on another goroutine. Cancellation is
+// cooperative: each worker checks ctx once before each claim, so once ctx
+// is done no further indices are dispatched, in-flight calls finish, and
+// the context's error is returned.
 func forEachIndex(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if workers > n {
 		workers = n
@@ -555,29 +557,21 @@ func forEachIndex(ctx context.Context, workers, n int, fn func(worker, i int)) e
 		}
 		return ctx.Err()
 	}
-	idx := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain the channel without scoring
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
 				fn(worker, i)
 			}
 		}(w)
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 	return ctx.Err()
 }

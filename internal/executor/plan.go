@@ -245,10 +245,10 @@ func (p *Plan) GroupSeries(series []dataset.Series) []*Viz {
 }
 
 // SearchContext runs the full EXTRACT → GROUP → SEGMENT → SCORE pipeline
-// over a data source: a bare *dataset.Table (legacy row-at-a-time
-// extraction) or a *dataset.Index (columnar extraction with
-// dictionary-encoded grouping and vectorized filters). Filter validation
-// happens once, up front, inside the source's Extract — never per row.
+// over a data source: a bare *dataset.Table, which extracts through a
+// transient index, or a long-lived *dataset.Index, which keeps the
+// encodings and layouts its extractions build. Filter validation happens
+// once, up front, inside the source's Extract — never per row.
 //
 // Cancellation is cooperative: once ctx is done, workers stop pulling
 // candidates, the pool drains, and the call returns ctx.Err(). It is
@@ -344,7 +344,7 @@ func (p *Plan) distanceRun(ctx context.Context, n int, viz func(int) *Viz) ([]Re
 			ref := refFor(ai, alt, v.N())
 			var d float64
 			if o.Algorithm == AlgDTW {
-				d = dtw.BandDistance(ref, target, o.DTWBand)
+				d = dtw.Distance(ref, target)
 			} else {
 				d = dtw.Euclidean(ref, target)
 			}

@@ -224,11 +224,12 @@ func New(opts ...Option) *Server {
 	return s
 }
 
-// Register adds (or replaces) a named dataset. The columnar index is built
-// here, once per upload — before the version bump publishes the dataset —
-// so no search ever pays the dictionary-encoding cost. Replacing a dataset
-// bumps its version, invalidating every cached candidate set built from
-// the old data.
+// Register adds (or replaces) a named dataset under a fresh columnar
+// index, built before the version bump publishes the dataset. The index
+// does no per-row work up front: the first search on a column pays its
+// dictionary-encoding pass, as it pays the (z, x) layout sort, and later
+// searches reuse both. Replacing a dataset bumps its version, invalidating
+// every cached candidate set built from the old data.
 //
 // The server takes ownership of t: AppendRows grows its columns in place,
 // so callers must not retain or mutate the table after registering it.
@@ -579,7 +580,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		opts.K = req.K
 	}
 	opts.Pruning = req.Pruning
-	if alg, err := algorithmByName(req.Algorithm); err != nil {
+	if alg, err := executor.ParseAlgorithm(req.Algorithm); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	} else {
@@ -845,23 +846,11 @@ func (s *Server) writeSearchErr(w http.ResponseWriter, r *http.Request, err erro
 }
 
 func buildSpec(req searchRequest) (dataset.ExtractSpec, error) {
-	spec := dataset.ExtractSpec{Z: req.Z, X: req.X, Y: req.Y}
-	switch req.Agg {
-	case "", "none":
-		spec.Agg = dataset.AggNone
-	case "avg":
-		spec.Agg = dataset.AggAvg
-	case "sum":
-		spec.Agg = dataset.AggSum
-	case "min":
-		spec.Agg = dataset.AggMin
-	case "max":
-		spec.Agg = dataset.AggMax
-	case "count":
-		spec.Agg = dataset.AggCount
-	default:
-		return spec, fmt.Errorf("unknown aggregation %q", req.Agg)
+	agg, err := dataset.ParseAgg(req.Agg)
+	if err != nil {
+		return dataset.ExtractSpec{}, err
 	}
+	spec := dataset.ExtractSpec{Z: req.Z, X: req.X, Y: req.Y, Agg: agg}
 	for _, f := range req.Filters {
 		op, err := opByName(f.Op)
 		if err != nil {
@@ -888,27 +877,6 @@ func opByName(name string) (dataset.FilterOp, error) {
 		return dataset.Ge, nil
 	default:
 		return dataset.Eq, fmt.Errorf("unknown filter operator %q", name)
-	}
-}
-
-func algorithmByName(name string) (executor.Algorithm, error) {
-	switch name {
-	case "", "auto":
-		return executor.AlgAuto, nil
-	case "dp":
-		return executor.AlgDP, nil
-	case "segmenttree", "tree":
-		return executor.AlgSegmentTree, nil
-	case "greedy":
-		return executor.AlgGreedy, nil
-	case "exhaustive":
-		return executor.AlgExhaustive, nil
-	case "dtw":
-		return executor.AlgDTW, nil
-	case "euclidean":
-		return executor.AlgEuclidean, nil
-	default:
-		return executor.AlgAuto, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
 

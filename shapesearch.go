@@ -58,14 +58,15 @@ type (
 type (
 	// Table is an in-memory columnar dataset.
 	Table = dataset.Table
-	// Index is the columnar acceleration layer over a Table:
+	// Index is the columnar EXTRACT operator over a Table:
 	// dictionary-encoded grouping keys and memoized (z, x) sort
 	// permutations make repeated extraction a single pass over presorted
 	// runs with vectorized filters. Build one per long-lived table (see
 	// BuildIndex) and pass it wherever a Source is accepted.
 	Index = dataset.Index
-	// Source is a queryable data source for EXTRACT: either a bare *Table
-	// (row-at-a-time compatibility path) or an *Index (columnar path).
+	// Source is a queryable data source for EXTRACT: either a bare *Table,
+	// which extracts through a transient Index on every call, or an *Index,
+	// which keeps what its extractions build.
 	Source = dataset.Source
 	// Column is one typed column of a Table.
 	Column = dataset.Column
@@ -208,10 +209,11 @@ func ReadJSON(r io.Reader) (*Table, error) { return dataset.FromJSON(r) }
 // NewTable builds a dataset from columns.
 func NewTable(cols ...Column) (*Table, error) { return dataset.New(cols...) }
 
-// BuildIndex builds the columnar index for a table: string grouping
-// columns are dictionary-encoded up front; (z, x) sort permutations are
-// built lazily on first extraction and memoized. Index tables that serve
-// repeated queries; one-shot extractions can stay on the bare *Table.
+// BuildIndex returns the columnar index for a table. It does no per-row
+// work: column encodings and (z, x) sort permutations are built by the
+// first extraction that needs them and memoized. Index tables that serve
+// repeated queries; a one-shot extraction can pass the bare *Table, which
+// extracts through a transient index.
 func BuildIndex(t *Table) *Index { return dataset.BuildIndex(t) }
 
 // Extract selects candidate trendlines from a table.
