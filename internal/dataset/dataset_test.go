@@ -217,20 +217,51 @@ func TestExtractSkipsNaN(t *testing.T) {
 	}
 }
 
+// TestExtractErrors pins EXTRACT's validation errors, each case once on a
+// transient index (Extract) and once on one long-lived index after a
+// successful extraction built its z encoding and a string filter's: an
+// error must not depend on what an earlier extraction built.
 func TestExtractErrors(t *testing.T) {
-	tbl := sampleTable(t)
-	if _, err := Extract(tbl, ExtractSpec{Z: "nope", X: "year", Y: "sales"}); err == nil {
-		t.Error("missing z should error")
+	tbl, err := New(
+		strCol("product", "a", "a", "b", "b"),
+		strCol("store", "n", "s", "n", "s"),
+		floatCol("year", 1, 2, 1, 2),
+		floatCol("sales", 10, 20, 30, 40),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "product", Y: "sales"}); err == nil {
-		t.Error("string x should error")
+	cases := []struct {
+		name string
+		spec ExtractSpec
+	}{
+		{"missing z", ExtractSpec{Z: "nope", X: "year", Y: "sales"}},
+		{"string x", ExtractSpec{Z: "product", X: "product", Y: "sales"}},
+		{"string y", ExtractSpec{Z: "product", X: "year", Y: "product"}},
+		{"missing filter column", ExtractSpec{Z: "product", X: "year", Y: "sales",
+			Filters: []Filter{{Col: "ghost", Op: Eq}}}},
+		{"Lt on a string column", ExtractSpec{Z: "product", X: "year", Y: "sales",
+			Filters: []Filter{{Col: "store", Op: Lt, Str: "n"}}}},
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "product"}); err == nil {
-		t.Error("string y should error")
+	for _, c := range cases {
+		if _, err := Extract(tbl, c.spec); err == nil {
+			t.Errorf("Extract: %s should error", c.name)
+		}
 	}
-	if _, err := Extract(tbl, ExtractSpec{Z: "product", X: "year", Y: "sales",
-		Filters: []Filter{{Col: "ghost", Op: Eq}}}); err == nil {
-		t.Error("missing filter column should error")
+	ix := BuildIndex(tbl)
+	warm := ExtractSpec{Z: "product", X: "year", Y: "sales", Filters: []Filter{{Col: "store", Op: Eq, Str: "n"}}}
+	if series, err := ix.Extract(warm); err != nil || len(series) != 2 {
+		t.Fatalf("warm-up extraction: %d series, error %v", len(series), err)
+	}
+	for _, col := range []string{"product", "store"} {
+		if ix.enc[tbl.byName[col]].enc == nil {
+			t.Fatalf("the warm-up extraction built no encoding of %s", col)
+		}
+	}
+	for _, c := range cases {
+		if _, err := ix.Extract(c.spec); err == nil {
+			t.Errorf("long-lived index: %s should error", c.name)
+		}
 	}
 }
 

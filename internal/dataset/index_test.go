@@ -143,30 +143,6 @@ func TestIndexedExtractMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestIndexedExtractErrors pins the validation errors of a long-lived
-// index.
-func TestIndexedExtractErrors(t *testing.T) {
-	tbl := sampleTable(t)
-	ix := BuildIndex(tbl)
-	if _, err := ix.Extract(ExtractSpec{Z: "nope", X: "year", Y: "sales"}); err == nil {
-		t.Error("missing z should error")
-	}
-	if _, err := ix.Extract(ExtractSpec{Z: "product", X: "product", Y: "sales"}); err == nil {
-		t.Error("string x should error")
-	}
-	if _, err := ix.Extract(ExtractSpec{Z: "product", X: "year", Y: "product"}); err == nil {
-		t.Error("string y should error")
-	}
-	if _, err := ix.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales",
-		Filters: []Filter{{Col: "ghost", Op: Eq}}}); err == nil {
-		t.Error("missing filter column should error")
-	}
-	if _, err := ix.Extract(ExtractSpec{Z: "product", X: "year", Y: "sales",
-		Filters: []Filter{{Col: "product", Op: Lt, Str: "a"}}}); err == nil {
-		t.Error("Lt on string column should error")
-	}
-}
-
 // TestIndexConcurrentExtract exercises the lazy permutation/encoding builds
 // under concurrency (run with -race).
 func TestIndexConcurrentExtract(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package dtw implements the value-based shape similarity baselines the
-// paper compares against (Section 9): Dynamic Time Warping [36] with an
-// optional Sakoe–Chiba band, and point-wise Euclidean distance. Both
-// operate on z-normalized series, the standard preprocessing for scaling
-// and translation invariance [16].
+// paper compares against (Section 9): unconstrained Dynamic Time Warping
+// [36] and point-wise Euclidean distance. Both operate on z-normalized
+// series, the standard preprocessing for scaling and translation
+// invariance [16].
 package dtw
 
 import (
@@ -12,26 +12,13 @@ import (
 	"shapesearch/internal/segstat"
 )
 
-// Distance computes the unconstrained DTW distance between two series.
-// It is the square root of the minimal sum of squared point differences
-// along a monotone alignment path.
+// Distance computes the unconstrained DTW distance between two series: the
+// square root of the minimal sum of squared point differences along a
+// monotone alignment path. An empty input yields +Inf.
 func Distance(a, b []float64) float64 {
-	return BandDistance(a, b, -1)
-}
-
-// BandDistance computes DTW constrained to a Sakoe–Chiba band of the given
-// half-width (band < 0 means unconstrained). Series must be non-empty;
-// an empty input yields +Inf.
-func BandDistance(a, b []float64, band int) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return math.Inf(1)
-	}
-	if band >= 0 {
-		// The band must be wide enough to reach the opposite corner.
-		if d := abs(n - m); band < d {
-			band = d
-		}
 	}
 	// Rolling two-row DP over the (n+1) x (m+1) cost matrix.
 	prev := make([]float64, m+1)
@@ -41,15 +28,8 @@ func BandDistance(a, b []float64, band int) float64 {
 	}
 	prev[0] = 0
 	for i := 1; i <= n; i++ {
-		for j := range cur {
-			cur[j] = math.Inf(1)
-		}
-		lo, hi := 1, m
-		if band >= 0 {
-			lo = max(1, i-band)
-			hi = min(m, i+band)
-		}
-		for j := lo; j <= hi; j++ {
+		cur[0] = math.Inf(1)
+		for j := 1; j <= m; j++ {
 			d := a[i-1] - b[j-1]
 			c := d * d
 			best := prev[j] // insertion
@@ -106,25 +86,4 @@ func ZNormalized(ys []float64) []float64 {
 	out := append([]float64(nil), ys...)
 	segstat.ZNormalize(out)
 	return out
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

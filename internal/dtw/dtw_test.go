@@ -48,30 +48,45 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
-// TestBandDistanceConverges: a sufficiently wide band equals unconstrained
-// DTW, and band distances are monotonically non-increasing in band width.
-func TestBandDistanceConverges(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := make([]float64, 40)
-	b := make([]float64, 40)
-	for i := range a {
-		a[i] = r.NormFloat64()
-		b[i] = r.NormFloat64()
-	}
-	full := Distance(a, b)
-	prev := math.Inf(1)
-	for _, band := range []int{0, 2, 5, 10, 40} {
-		d := BandDistance(a, b, band)
-		if d > prev+1e-9 {
-			t.Fatalf("band %d distance %v exceeds narrower band %v", band, d, prev)
+// naiveDTW is DTW over the full (n+1) × (m+1) cost matrix, written from
+// the recurrence: D[i][j] = (a[i−1] − b[j−1])² + min(D[i−1][j],
+// D[i−1][j−1], D[i][j−1]), D[0][0] = 0 and +Inf elsewhere on the borders.
+func naiveDTW(a, b []float64) float64 {
+	n, m := len(a), len(b)
+	d := make([][]float64, n+1)
+	for i := range d {
+		d[i] = make([]float64, m+1)
+		for j := range d[i] {
+			d[i][j] = math.Inf(1)
 		}
-		prev = d
 	}
-	if math.Abs(prev-full) > 1e-9 {
-		t.Fatalf("wide band %v != unconstrained %v", prev, full)
+	d[0][0] = 0
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= m; j++ {
+			c := (a[i-1] - b[j-1]) * (a[i-1] - b[j-1])
+			d[i][j] = c + math.Min(d[i-1][j], math.Min(d[i-1][j-1], d[i][j-1]))
+		}
 	}
-	if full > BandDistance(a, b, 0)+1e-9 {
-		t.Fatal("unconstrained should lower-bound banded")
+	return math.Sqrt(d[n][m])
+}
+
+// TestDistanceMatchesFullMatrix: the two-row DP equals the full-matrix
+// recurrence exactly on random series of unequal lengths, one-point series
+// included.
+func TestDistanceMatchesFullMatrix(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		a := make([]float64, 1+r.Intn(30))
+		b := make([]float64, 1+r.Intn(30))
+		for i := range a {
+			a[i] = r.NormFloat64()
+		}
+		for i := range b {
+			b[i] = r.NormFloat64() * 2
+		}
+		if got, want := Distance(a, b), naiveDTW(a, b); got != want {
+			t.Fatalf("len %d vs %d: Distance = %v, full matrix %v", len(a), len(b), got, want)
+		}
 	}
 }
 

@@ -68,9 +68,10 @@ func compileChain(v *Viz, chain shape.Chain, opts *Options) *chainEval {
 
 // compile prepares a chain for evaluation against a visualization, reusing
 // the context's chainEval and unit buffer. Viz-derived quantities (y range,
-// amplitude unit, skipped-point prefix) come memoized from the Viz; UDP
-// resolution, nested sub-query normalization, and iterator/sketch hoisting
-// already happened once at plan compile time, so nothing here can fail.
+// amplitude unit) come memoized from the Viz, the skipped-point prefix from
+// its x side; UDP resolution, nested sub-query normalization, and
+// iterator/sketch hoisting already happened once at plan compile time, so
+// nothing here can fail.
 func (ec *evalCtx) compile(v *Viz, chain shape.Chain, opts *Options) *chainEval {
 	return ec.compileAlt(v, chain, opts, nil)
 }
@@ -85,12 +86,12 @@ func (ec *evalCtx) compileAlt(v *Viz, chain shape.Chain, opts *Options, am *altM
 	ce := &ec.ce
 	*ce = chainEval{ctx: ec, viz: v, chain: chain, opts: opts}
 	n := v.N()
-	ce.skippedPrefix = v.skipPrefix()
+	v.memoize(ec)
+	ce.skippedPrefix = v.skipPre
 	span := v.Series.X[n-1] - v.Series.X[0]
 	ce.tolX = 1.5 * span / float64(n-1)
-	lo, hi := v.yRange()
-	ce.tolY = 0.1*(hi-lo) + 1e-9
-	ce.ampUnit = v.ampUnit()
+	ce.tolY = 0.1*(v.yHi-v.yLo) + 1e-9
+	ce.ampUnit = v.amp
 	if am != nil {
 		ce.sigs = am.sigs
 		ce.refsFree = !am.positional
@@ -308,7 +309,7 @@ func (ce *chainEval) evalSegment(n *shape.Node, t, i, j int) float64 {
 		// from (x.s, y.s) to (x.e, y.e). y is unnormalized here because
 		// queries with y constraints disable z-normalization.
 		dy := seg.Loc.YE.Value - seg.Loc.YS.Value
-		dx := v.NX[j] - v.NX[i]
+		dx := v.nx[j] - v.nx[i]
 		if dx <= 0 {
 			return score.WorstScore
 		}
@@ -471,7 +472,7 @@ func (ce *chainEval) evalQuantifier(seg *shape.Segment, i, j int) float64 {
 		if run[1]-run[0] < minRun {
 			continue
 		}
-		if minAmp > 0 && math.Abs(v.NY[i+run[1]]-v.NY[i+run[0]]) < minAmp {
+		if minAmp > 0 && math.Abs(v.normY(i+run[1])-v.normY(i+run[0])) < minAmp {
 			continue
 		}
 		slope, ok := v.rangeSlope(i+run[0], i+run[1])

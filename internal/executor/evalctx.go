@@ -65,6 +65,9 @@ type evalCtx struct {
 	runsBuf    [][2]int
 	runScores  []float64
 
+	// normY is the scratch Viz.memoize writes a chart's normalized y to.
+	normY []float64
+
 	// Sound-pruning-bound scratch (soundUpperBound): per-unit pin indices
 	// and pin-validity flags for the alternative under inspection, plus the
 	// per-candidate bound caches — the slope interval per width floor, the

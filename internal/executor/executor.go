@@ -182,7 +182,9 @@ type Result struct {
 	Ranges [][2]int
 	// BreakXs are the domain-x values of the unit boundaries.
 	BreakXs []float64
-	// Series is the matched trendline's raw data.
+	// Series is the matched trendline's raw data. It aliases the grouped
+	// chart's storage, whose x values the other charts on the same x grid
+	// share: callers must not modify it.
 	Series dataset.Series
 }
 

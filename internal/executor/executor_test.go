@@ -66,12 +66,12 @@ func TestGroupNormalization(t *testing.T) {
 	if v == nil {
 		t.Fatal("nil viz")
 	}
-	if v.NX[0] != 0 || math.Abs(v.NX[4]-normXSpan) > 1e-12 {
-		t.Fatalf("NX = %v", v.NX)
+	if v.nx[0] != 0 || math.Abs(v.nx[4]-normXSpan) > 1e-12 {
+		t.Fatalf("nx = %v", v.nx)
 	}
 	var mean float64
-	for _, y := range v.NY {
-		mean += y
+	for i := range v.N() {
+		mean += v.normY(i)
 	}
 	if math.Abs(mean) > 1e-9 {
 		t.Fatalf("z-normalized mean = %v", mean)

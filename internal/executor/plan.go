@@ -276,8 +276,9 @@ func (p *Plan) RunContext(ctx context.Context, series []dataset.Series) ([]Resul
 
 // runSeries ranks series for a batch of plans that share one candidate key,
 // and so one push-down filter and GROUP configuration (the first plan's):
-// each series left after the filter is grouped inside the scan's workers.
-// A series that groups to nil is skipped; the others tie-break by their
+// each series left after the filter is grouped inside the scan's workers,
+// on its own x side: no chart follows another there to share one. A
+// series that groups to nil is skipped; the others tie-break by their
 // position in the filtered slice.
 func runSeries(ctx context.Context, plans []*Plan, series []dataset.Series) ([][]Result, error) {
 	series, gcfg := plans[0].groupInput(series)

@@ -465,10 +465,12 @@ const tilingMaxPoints = 20
 
 // keptAnglesMaxPoints is the longest chart that keeps its range-angle
 // table. The memory rule: a table is n(n−1)/2 float64s, 3,968 B at 32
-// points, about 1.5× the ≈72n + 368 B the Viz already holds (3× at 64
-// points, growing linearly in n). A corpus searched repeatedly without
-// pruning keeps a table on every chart: ~40 MB for 10,000 charts of 32
-// points.
+// points, about 3× the ≈1.2 KB a 32-point chart on a shared x grid holds
+// (its Viz, y-side sums and raw y), the ratio growing linearly in n. A
+// corpus searched repeatedly without pruning keeps a table on every chart:
+// ~40 MB for 10,000 charts of 32 points, beside ~12 MB of charts. The cap
+// stays at 32, the chart length of the corpus workload where keeping
+// tables was measured to pay.
 const keptAnglesMaxPoints = 32
 
 // tilingApplies reports whether the tiling bound covers query o on v: every
@@ -546,24 +548,24 @@ func rangeIndex(i, j int) int { return j*(j-1)/2 + i }
 
 // writeRangeAngles writes the fitted angle of every range [i, j], i < j,
 // of v into angles at rangeIndex(i, j), one end point's row after the
-// other. Each entry repeats segstat.Stats.Slope over
-// v.Prefix.Range(i, j+1) operation for operation, its degenerate rule
-// included, then math.Atan: it is the angle fitMemo.fit caches, bit for
-// bit, and NaN for a degenerate fit.
+// other. Each entry repeats segstat.Stats.Slope over v.rangeStats(i, j)
+// operation for operation, its degenerate rule included, then math.Atan:
+// it is the angle fitMemo.fit caches, bit for bit, and NaN for a
+// degenerate fit.
 func writeRangeAngles(v *Viz, angles []float64) {
 	n := v.N()
-	p := v.Prefix
+	xp, yp := v.xsums, v.ysums
 	at := 0
 	for j := 1; j < n; j++ {
-		e := &p[j+1]
+		xe, ye := &xp[j+1], &yp[j+1]
 		for i := 0; i < j; i++ {
-			s := &p[i]
-			cnt, sx := e.N-s.N, e.SumX-s.SumX
+			xs, ys := &xp[i], &yp[i]
+			cnt, sx := xe.N-xs.N, xe.SumX-xs.SumX
 			a := math.NaN()
 			if cnt >= 2 {
-				den := cnt*(e.SumXX-s.SumXX) - sx*sx
+				den := cnt*(xe.SumXX-xs.SumXX) - sx*sx
 				if den != 0 && !math.IsNaN(den) {
-					sl := (cnt*(e.SumXY-s.SumXY) - sx*(e.SumY-s.SumY)) / den
+					sl := (cnt*(ye.SumXY-ys.SumXY) - sx*(ye.SumY-ys.SumY)) / den
 					if !math.IsNaN(sl) && !math.IsInf(sl, 0) {
 						a = math.Atan(sl)
 					}

@@ -27,26 +27,34 @@ const normXSpan = 4.0
 // Viz is one candidate visualization after the GROUP operator: the raw
 // series plus normalized coordinates and prefix summarized statistics that
 // allow O(1) least-squares fits over any point range (Theorem 5.1).
+//
+// GROUP's output is held in two sides. The x side (xAxis) is what depends
+// only on the series' x values and the GROUP keep windows; the charts of one
+// grouping pass whose x values match bit for bit share it. The y side is
+// what a chart keeps of its own: its Σy and Σx·y prefix sums and the
+// z-normalization it applied. Normalized y is not stored: normY recomputes
+// it from Series.Y.
 type Viz struct {
+	// Series is the chart's raw data. Series.X is the x side's raw x, which
+	// other charts on the same grid share.
 	Series dataset.Series
-	// NX and NY are the normalized coordinates the fits run on.
-	NX, NY []float64
-	// Prefix[i] summarizes normalized points [0, i).
-	Prefix segstat.Prefix
-	// Skipped marks point indices the GROUP operator did not summarize
-	// because no query range references them (push-down (c), Section 5.4).
-	// Fits touching skipped points are invalid; nil means none skipped.
-	Skipped []bool
+	// The x side, embedded so that its skip mask reads as v.Skipped.
+	*xAxis
+	// ysums[k] holds Σy and Σx·y over normalized points [0, k): with the x
+	// side's xsums, the chart's prefix summarized statistics.
+	ysums []segstat.YSum
+	// ymean and ystd are the z-normalization GROUP applied to Series.Y
+	// (segstat.MeanStd); znorm is false when GROUP did not normalize.
+	ymean, ystd float64
+	znorm       bool
 
 	// Chain-compilation inputs derived purely from the visualization,
 	// memoized on first use: every chain of every alternative of every
-	// query re-reads them, so they must not be recomputed per compile.
-	// Lazy (not filled in group) so directly constructed Viz literals in
-	// tests behave identically; the Once makes concurrent workers safe.
+	// query re-reads them, so they must not be recomputed per compile. The
+	// Once makes concurrent workers safe.
 	memoOnce sync.Once
 	yLo, yHi float64
 	amp      float64
-	skipPre  []int
 
 	// Sound-pruning-bound inputs, memoized separately (only pruned
 	// searches pay for them): see pruneSlopeStats.
@@ -59,14 +67,33 @@ type Viz struct {
 	// most keptAnglesMaxPoints points without a skip mask is counted.
 	// angles, published by the second such run, holds them in
 	// writeRangeAngles' packed layout: n(n−1)/2 float64s (3,968 B at 32
-	// points, about 1.5× the ≈72n + 368 B the rest of the Viz holds), a
-	// fresh copy never written again, so any worker may read it without a
-	// lock. Every candidate set whose series equals v's shares v (VizPool),
-	// so the count spans them all: a chart that drill-down filters leave
-	// unchanged keeps its table after its second run in any set. A chart
-	// an append changes is a new Viz and starts over at zero.
+	// points, about 3× the ≈1.2 KB a 32-point chart on a shared x grid
+	// holds), a fresh copy never written again, so any worker may read it
+	// without a lock. Every candidate set whose series equals v's shares v
+	// (VizPool), so the count spans them all: a chart that drill-down
+	// filters leave unchanged keeps its table after its second run in any
+	// set. A chart an append changes is a new Viz and starts over at zero.
 	angleRuns atomic.Int32
 	angles    atomic.Pointer[[]float64]
+}
+
+// xAxis is the x side of GROUP's output: everything that depends only on a
+// series' x values and the GROUP keep windows. It is immutable once
+// groupAfter builds it, and shared by the charts of a grouping pass whose x
+// values match its first chart's bit for bit (see groupAfter); the garbage
+// collector frees it with the last of them. The raw x is the charts'
+// Series.X.
+type xAxis struct {
+	// nx holds the normalized x coordinates the fits run on.
+	nx []float64
+	// xsums[k] holds Σx, Σx² and n over normalized points [0, k).
+	xsums []segstat.XSum
+	// Skipped marks point indices the GROUP operator did not summarize
+	// because no query range references them (push-down (c), Section 5.4).
+	// Fits touching skipped points are invalid; nil means none skipped.
+	Skipped []bool
+	// skipPre[k] counts the skipped points among [0, k); nil with Skipped.
+	skipPre []int
 }
 
 // pruneStats is the per-visualization state the sound pruning bound reads:
@@ -87,7 +114,7 @@ type pruneStats struct {
 }
 
 // N reports the number of points.
-func (v *Viz) N() int { return len(v.NX) }
+func (v *Viz) N() int { return len(v.nx) }
 
 // groupConfig controls the GROUP operator.
 type groupConfig struct {
@@ -100,51 +127,91 @@ type groupConfig struct {
 	keepRanges [][2]float64
 }
 
-// group builds a Viz from a series (the GROUP physical operator). Series
-// with fewer than two points yield a nil Viz — they cannot host any fit.
+// group builds a Viz from a series (the GROUP physical operator), on an x
+// side of its own. Series with fewer than two points yield a nil Viz —
+// they cannot host any fit.
 func group(s dataset.Series, cfg groupConfig) *Viz {
+	return groupAfter(s, cfg, nil)
+}
+
+// groupAfter is group for a chart that follows prev in a grouping pass.
+// prev, when non-nil, was grouped under cfg too; if s's x values equal
+// prev's bit for bit, the new chart shares prev's x side, raw x included,
+// and builds only its y side.
+func groupAfter(s dataset.Series, cfg groupConfig, prev *Viz) *Viz {
 	n := s.Len()
 	if n < 2 {
 		return nil
 	}
-	v := &Viz{Series: s}
-	v.NX = make([]float64, n)
-	v.NY = make([]float64, n)
-	xmin, xmax := s.X[0], s.X[n-1]
+	v := &Viz{Series: s, ysums: make([]segstat.YSum, n+1), znorm: cfg.zNormalize}
+	if v.znorm {
+		v.ymean, v.ystd = segstat.MeanStd(s.Y)
+	}
+	shared := prev != nil && sameBits(prev.Series.X, s.X)
+	if shared {
+		v.Series.X, v.xAxis = prev.Series.X, prev.xAxis
+	} else {
+		v.xAxis = newXAxis(s.X, cfg.keepRanges)
+	}
+	// One pass builds both sides' prefix sums, with the float operations of
+	// a Stats.Add per point followed by a Merge into the running sums; a
+	// shared x side keeps the x sums its first chart built.
+	var acc segstat.Stats
+	for i := 0; i < n; i++ {
+		var b segstat.Stats
+		if v.Skipped == nil || !v.Skipped[i] {
+			b.Add(v.nx[i], v.normY(i))
+		} // a skipped point adds empty stats; fits over it are invalid anyway
+		acc = segstat.Merge(acc, b)
+		if !shared {
+			v.xsums[i+1] = segstat.XSum{SumX: acc.SumX, SumXX: acc.SumXX, N: acc.N}
+		}
+		v.ysums[i+1] = segstat.YSum{SumY: acc.SumY, SumXY: acc.SumXY}
+	}
+	return v
+}
+
+// newXAxis builds the x side of raw x values xs under the GROUP keep
+// windows; groupAfter fills its prefix sums.
+func newXAxis(xs []float64, keepRanges [][2]float64) *xAxis {
+	n := len(xs)
+	x := &xAxis{nx: make([]float64, n), xsums: make([]segstat.XSum, n+1)}
+	xmin, xmax := xs[0], xs[n-1]
 	span := xmax - xmin
 	if span <= 0 {
 		span = 1
 	}
 	for i := 0; i < n; i++ {
-		v.NX[i] = (s.X[i] - xmin) / span * normXSpan
+		x.nx[i] = (xs[i] - xmin) / span * normXSpan
 	}
-	copy(v.NY, s.Y)
-	if cfg.zNormalize {
-		segstat.ZNormalize(v.NY)
-	}
-	if cfg.keepRanges != nil {
-		v.Skipped = make([]bool, n)
+	if keepRanges != nil {
+		x.Skipped = make([]bool, n)
+		x.skipPre = make([]int, n+1)
 		for i := 0; i < n; i++ {
-			v.Skipped[i] = !dataset.InRanges(s.X[i], cfg.keepRanges)
+			x.Skipped[i] = !dataset.InRanges(xs[i], keepRanges)
+			x.skipPre[i+1] = x.skipPre[i]
+			if x.Skipped[i] {
+				x.skipPre[i+1]++
+			}
 		}
 	}
-	bins := make([]segstat.Stats, n)
-	for i := 0; i < n; i++ {
-		if v.Skipped != nil && v.Skipped[i] {
-			continue // contributes empty stats; fits over skipped points are invalid anyway
-		}
-		var b segstat.Stats
-		b.Add(v.NX[i], v.NY[i])
-		bins[i] = b
+	return x
+}
+
+// normY returns the normalized y value of point i, recomputed from
+// Series.Y: bit for bit what segstat.ZNormalize writes when GROUP
+// normalizes, and the raw value when it does not.
+func (v *Viz) normY(i int) float64 {
+	if !v.znorm {
+		return v.Series.Y[i]
 	}
-	v.Prefix = segstat.BuildPrefix(bins)
-	return v
+	return segstat.ZScore(v.Series.Y[i], v.ymean, v.ystd)
 }
 
 // rangeStats returns the summarized statistics of inclusive point range
 // [i, j].
 func (v *Viz) rangeStats(i, j int) segstat.Stats {
-	return v.Prefix.Range(i, j+1)
+	return segstat.Range(v.xsums, v.ysums, i, j+1)
 }
 
 // rangeSlope returns the least-squares slope over inclusive point range
@@ -191,8 +258,13 @@ func padRanges(ranges [][2]float64, pad float64) [][2]float64 {
 	return out
 }
 
-// memoize fills the lazily derived per-viz statistics exactly once.
-func (v *Viz) memoize() {
+// memoize fills the lazily derived per-viz statistics exactly once: the
+// raw y range and ampUnit, one standard deviation of the normalized y
+// values. No Viz stores normalized y, so the memo writes it to ec's scratch
+// and takes segstat.Std of that. Quantifier occurrences must move at least
+// a quarter of ampUnit to count as a perceptible rise or fall; it is never
+// zero, flat charts report 1.
+func (v *Viz) memoize(ec *evalCtx) {
 	v.memoOnce.Do(func() {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, y := range v.Series.Y {
@@ -204,19 +276,13 @@ func (v *Viz) memoize() {
 			}
 		}
 		v.yLo, v.yHi = lo, hi
-		v.amp = segstat.Std(v.NY)
+		ny := grow(&ec.normY, v.N())
+		for i := range ny {
+			ny[i] = v.normY(i)
+		}
+		v.amp = segstat.Std(ny)
 		if v.amp == 0 {
 			v.amp = 1
-		}
-		if v.Skipped != nil {
-			pre := make([]int, len(v.Skipped)+1)
-			for i, s := range v.Skipped {
-				pre[i+1] = pre[i]
-				if s {
-					pre[i+1]++
-				}
-			}
-			v.skipPre = pre
 		}
 	})
 }
@@ -245,7 +311,7 @@ func (v *Viz) pruneSlopeStats() *pruneStats {
 			}
 			pairs++
 			ext.Observe(s)
-			d := v.NX[i+1] - v.NX[i]
+			d := v.nx[i+1] - v.nx[i]
 			if d < dMin {
 				dMin = d
 			}
@@ -284,7 +350,7 @@ func (v *Viz) boundSummary() *shapeindex.Summary {
 		HighPrefix: ps.highPrefix,
 		Ratio:      ps.ratio,
 		MayFail:    v.Skipped != nil || math.IsInf(ps.ratio, 1),
-		UpDown:     sketch.Directions(v.NX, v.NY, indexPAAWindows),
+		UpDown:     sketch.Directions(v.nx, v.normY, indexPAAWindows),
 	}
 }
 
@@ -295,25 +361,4 @@ func (v *Viz) keptRangeAngles() []float64 {
 		return *t
 	}
 	return nil
-}
-
-// yRange reports the min and max of the raw y values (memoized).
-func (v *Viz) yRange() (lo, hi float64) {
-	v.memoize()
-	return v.yLo, v.yHi
-}
-
-// ampUnit is one standard deviation of the normalized y values (memoized);
-// quantifier occurrences must move at least a quarter of it to count as a
-// perceptible rise or fall. Never zero: flat charts report 1.
-func (v *Viz) ampUnit() float64 {
-	v.memoize()
-	return v.amp
-}
-
-// skipPrefix returns the skipped-point prefix sums (memoized); nil when the
-// GROUP operator summarized everything.
-func (v *Viz) skipPrefix() []int {
-	v.memoize()
-	return v.skipPre
 }

@@ -62,6 +62,11 @@ type pooledViz struct {
 // GroupSeries' field by field and bit for bit; a nil pool groups every
 // series afresh.
 //
+// A chart grouped here shares the previous chart's x side when their x
+// values match bit for bit (see groupAfter). A pooled hit counts as the
+// previous chart: the pool only returns charts grouped under an equal
+// configuration.
+//
 // The pool lock is taken twice per call — once to look up every series,
 // once to insert the misses — and never while grouping.
 func (p *Plan) GroupSeriesPooled(pool *VizPool, series []dataset.Series) []*Viz {
@@ -72,16 +77,19 @@ func (p *Plan) GroupSeriesPooled(pool *VizPool, series []dataset.Series) []*Viz 
 		seen = pool.lookup(series, gcfg, vizs)
 	}
 	var missed []int
+	var prev *Viz
 	for i, s := range series {
-		if vizs[i] != nil {
-			continue
-		}
-		vizs[i] = group(s, gcfg)
-		if pool != nil && vizs[i] != nil {
-			if missed == nil {
-				missed = make([]int, 0, len(series)-i)
+		if vizs[i] == nil {
+			vizs[i] = groupAfter(s, gcfg, prev)
+			if pool != nil && vizs[i] != nil {
+				if missed == nil {
+					missed = make([]int, 0, len(series)-i)
+				}
+				missed = append(missed, i)
 			}
-			missed = append(missed, i)
+		}
+		if vizs[i] != nil {
+			prev = vizs[i]
 		}
 	}
 	if len(missed) > 0 {

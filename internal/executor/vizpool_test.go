@@ -34,25 +34,34 @@ func poolConfigPlans(t *testing.T) map[string]*Plan {
 }
 
 // requireSameViz checks that a pooled chart equals a freshly grouped one
-// field by field, bit for bit.
+// field by field, bit for bit: both sides of GROUP's output.
 func requireSameViz(t *testing.T, label string, got, want *Viz) {
 	t.Helper()
 	if got.Series.Z != want.Series.Z || !sameBits(got.Series.X, want.Series.X) || !sameBits(got.Series.Y, want.Series.Y) {
 		t.Fatalf("%s: series differ", label)
 	}
-	if !sameBits(got.NX, want.NX) || !sameBits(got.NY, want.NY) {
-		t.Fatalf("%s: normalized coordinates differ", label)
+	if !sameBits(got.nx, want.nx) {
+		t.Fatalf("%s: normalized x differs", label)
 	}
-	if len(got.Prefix) != len(want.Prefix) {
-		t.Fatalf("%s: prefix length %d, want %d", label, len(got.Prefix), len(want.Prefix))
+	if len(got.xsums) != len(want.xsums) || len(got.ysums) != len(want.ysums) {
+		t.Fatalf("%s: prefix lengths %d/%d, want %d/%d", label, len(got.xsums), len(got.ysums), len(want.xsums), len(want.ysums))
 	}
-	for i := range got.Prefix {
-		g, w := got.Prefix[i], want.Prefix[i]
-		if !sameBits([]float64{g.N, g.SumX, g.SumY, g.SumXX, g.SumXY}, []float64{w.N, w.SumX, w.SumY, w.SumXX, w.SumXY}) {
-			t.Fatalf("%s: prefix[%d] = %+v, want %+v", label, i, g, w)
+	for i := range got.xsums {
+		g, w := got.xsums[i], want.xsums[i]
+		if !sameBits([]float64{g.N, g.SumX, g.SumXX}, []float64{w.N, w.SumX, w.SumXX}) {
+			t.Fatalf("%s: xsums[%d] = %+v, want %+v", label, i, g, w)
 		}
 	}
-	if !slices.Equal(got.Skipped, want.Skipped) || (got.Skipped == nil) != (want.Skipped == nil) {
+	for i := range got.ysums {
+		g, w := got.ysums[i], want.ysums[i]
+		if !sameBits([]float64{g.SumY, g.SumXY}, []float64{w.SumY, w.SumXY}) {
+			t.Fatalf("%s: ysums[%d] = %+v, want %+v", label, i, g, w)
+		}
+	}
+	if got.znorm != want.znorm || !sameBits([]float64{got.ymean, got.ystd}, []float64{want.ymean, want.ystd}) {
+		t.Fatalf("%s: z-normalization differs", label)
+	}
+	if !slices.Equal(got.Skipped, want.Skipped) || (got.Skipped == nil) != (want.Skipped == nil) || !slices.Equal(got.skipPre, want.skipPre) {
 		t.Fatalf("%s: skip masks differ", label)
 	}
 }

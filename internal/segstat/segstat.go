@@ -6,7 +6,9 @@
 // five numbers: Σxi, Σyi, Σxi·yi, Σxi², and n. Statistics over two adjacent
 // visual segments add component-wise, so the least-squares fit over any
 // contiguous region of a trendline can be recovered in O(1) from prefix
-// sums of per-bin statistics, with no loss of accuracy.
+// sums of per-bin statistics, with no loss of accuracy. Three of the five
+// sums depend on x alone, so a prefix array is held in two parts, XSum and
+// YSum, and charts on one x grid can share the first.
 package segstat
 
 import "math"
@@ -44,8 +46,8 @@ func Merge(a, b Stats) Stats {
 }
 
 // Sub returns the statistics of the set difference whole − part, assuming
-// part ⊆ whole. It is the inverse of Merge and powers prefix-sum range
-// queries.
+// part ⊆ whole. It is the inverse of Merge; Range takes the same
+// differences of prefix entries held in two parts.
 func Sub(whole, part Stats) Stats {
 	return Stats{
 		SumX:  whole.SumX - part.SumX,
@@ -103,71 +105,75 @@ func FromPoints(xs, ys []float64) Stats {
 	return s
 }
 
-// Prefix is a prefix-sum array over per-bin statistics. Prefix[i] summarizes
-// bins [0, i); Range(i, j) recovers the statistics of bins [i, j) in O(1).
-type Prefix []Stats
-
-// BuildPrefix constructs the prefix array for a sequence of per-bin stats.
-// len(BuildPrefix(bins)) == len(bins)+1.
-func BuildPrefix(bins []Stats) Prefix {
-	p := make(Prefix, 1, len(bins)+1)
-	return p.Extend(bins)
+// XSum and YSum split one entry of a prefix-sum array over per-bin
+// statistics into the part that depends on x alone and the part that
+// depends on y too. Charts sampled on one x grid share their XSums. Entry k
+// of a prefix array summarizes bins [0, k); Range recovers any run of bins.
+type XSum struct {
+	SumX  float64 // Σ xi
+	SumXX float64 // Σ xi²
+	N     float64 // number of points
 }
 
-// Extend appends per-bin statistics to an existing prefix array and returns
-// the grown array — O(len(bins)) amortized, independent of how many bins the
-// prefix already covers. Because it performs exactly the Merge sequence that
-// BuildPrefix would, BuildPrefix(all) and BuildPrefix(head).Extend(tail) are
-// bit-identical. The receiver's backing array may be reused; callers that
-// shared the old slice should treat Extend like append.
-func (p Prefix) Extend(bins []Stats) Prefix {
-	if len(p) == 0 {
-		p = make(Prefix, 1, len(bins)+1)
-	}
-	for _, b := range bins {
-		p = append(p, Merge(p[len(p)-1], b))
-	}
-	return p
+// YSum is the part of a prefix entry that depends on y: see XSum.
+type YSum struct {
+	SumY  float64 // Σ yi
+	SumXY float64 // Σ xi·yi
 }
 
-// Range returns the merged statistics of bins [i, j). It panics if the
-// range is out of bounds or inverted, mirroring slice semantics.
-func (p Prefix) Range(i, j int) Stats {
-	if i < 0 || j > len(p)-1 || i > j {
+// Range returns the merged statistics of bins [i, j) of a prefix array
+// held as its x parts and its y parts: Sub of entries j and i. It panics if
+// the range is out of bounds or inverted, mirroring slice semantics.
+func Range(x []XSum, y []YSum, i, j int) Stats {
+	if i < 0 || j > len(x)-1 || j > len(y)-1 || i > j {
 		panic("segstat: Range out of bounds")
 	}
-	return Sub(p[j], p[i])
+	xe, xs, ye, ys := &x[j], &x[i], &y[j], &y[i]
+	return Stats{
+		SumX:  xe.SumX - xs.SumX,
+		SumY:  ye.SumY - ys.SumY,
+		SumXY: ye.SumXY - ys.SumXY,
+		SumXX: xe.SumXX - xs.SumXX,
+		N:     xe.N - xs.N,
+	}
 }
 
-// NumBins reports how many bins the prefix array covers.
-func (p Prefix) NumBins() int { return len(p) - 1 }
-
-// ZNormalize rescales ys in place to zero mean and unit standard deviation
-// (z-score normalization, applied by GROUP when the query has no constraints
-// on y values). Constant series are left centered at 0.
-func ZNormalize(ys []float64) {
+// MeanStd returns the mean and the population standard deviation of ys:
+// the two values ZNormalize applies (see ZScore) and Std reports. Both are 0
+// for an empty series.
+func MeanStd(ys []float64) (mean, std float64) {
 	if len(ys) == 0 {
-		return
+		return 0, 0
 	}
 	var sum float64
 	for _, y := range ys {
 		sum += y
 	}
-	mean := sum / float64(len(ys))
+	mean = sum / float64(len(ys))
 	var varsum float64
 	for _, y := range ys {
 		d := y - mean
 		varsum += d * d
 	}
-	std := math.Sqrt(varsum / float64(len(ys)))
+	return mean, math.Sqrt(varsum / float64(len(ys)))
+}
+
+// ZScore is the value ZNormalize writes for y, given its series' MeanStd:
+// (y − mean)/std, or y − mean when std is 0 or NaN.
+func ZScore(y, mean, std float64) float64 {
 	if std == 0 || math.IsNaN(std) {
-		for i := range ys {
-			ys[i] -= mean
-		}
-		return
+		return y - mean
 	}
-	for i := range ys {
-		ys[i] = (ys[i] - mean) / std
+	return (y - mean) / std
+}
+
+// ZNormalize rescales ys in place to zero mean and unit standard deviation
+// (z-score normalization, applied by GROUP when the query has no constraints
+// on y values). Constant series are left centered at 0.
+func ZNormalize(ys []float64) {
+	mean, std := MeanStd(ys)
+	for i, y := range ys {
+		ys[i] = ZScore(y, mean, std)
 	}
 }
 
@@ -185,14 +191,6 @@ func Mean(xs []float64) float64 {
 
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs)))
+	_, std := MeanStd(xs)
+	return std
 }

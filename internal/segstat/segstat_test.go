@@ -143,6 +143,21 @@ func TestSubInverseOfMerge(t *testing.T) {
 	}
 }
 
+// splitPrefix builds the prefix array over bins that BuildPrefix built
+// before prefix arrays were split, entry k merging bins [0, k) one Merge at
+// a time, and returns its x and y parts.
+func splitPrefix(bins []Stats) ([]XSum, []YSum) {
+	x := make([]XSum, 1, len(bins)+1)
+	y := make([]YSum, 1, len(bins)+1)
+	var acc Stats
+	for _, b := range bins {
+		acc = Merge(acc, b)
+		x = append(x, XSum{SumX: acc.SumX, SumXX: acc.SumXX, N: acc.N})
+		y = append(y, YSum{SumY: acc.SumY, SumXY: acc.SumXY})
+	}
+	return x, y
+}
+
 func TestPrefixRange(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7}
 	ys := []float64{1, 2, 1, 4, 3, 6, 5, 8}
@@ -153,16 +168,16 @@ func TestPrefixRange(t *testing.T) {
 		b.Add(xs[i+1], ys[i+1])
 		bins = append(bins, b)
 	}
-	p := BuildPrefix(bins)
-	if p.NumBins() != len(bins) {
-		t.Fatalf("NumBins = %d, want %d", p.NumBins(), len(bins))
+	x, y := splitPrefix(bins)
+	if len(x)-1 != len(bins) || len(y)-1 != len(bins) {
+		t.Fatalf("prefix covers %d/%d bins, want %d", len(x)-1, len(y)-1, len(bins))
 	}
 	// Range over all bins must equal direct merge of all bins.
 	var all Stats
 	for _, b := range bins {
 		all = Merge(all, b)
 	}
-	got := p.Range(0, len(bins))
+	got := Range(x, y, 0, len(bins))
 	if !almostEq(got.SumXY, all.SumXY, 1e-9) || got.N != all.N {
 		t.Fatalf("full range mismatch: got %+v want %+v", got, all)
 	}
@@ -171,22 +186,40 @@ func TestPrefixRange(t *testing.T) {
 	for _, b := range bins[2:5] {
 		mid = Merge(mid, b)
 	}
-	got = p.Range(2, 5)
+	got = Range(x, y, 2, 5)
 	if !almostEq(got.SumXX, mid.SumXX, 1e-9) || got.N != mid.N {
 		t.Fatalf("sub range mismatch: got %+v want %+v", got, mid)
+	}
+	// Every range is Sub of the whole prefix entries, bit for bit.
+	var pre []Stats
+	var acc Stats
+	pre = append(pre, acc)
+	for _, b := range bins {
+		acc = Merge(acc, b)
+		pre = append(pre, acc)
+	}
+	for i := range pre {
+		for j := i; j < len(pre); j++ {
+			if got, want := Range(x, y, i, j), Sub(pre[j], pre[i]); got != want {
+				t.Fatalf("Range(%d, %d) = %+v, want %+v", i, j, got, want)
+			}
+		}
 	}
 }
 
 func TestPrefixRangePanics(t *testing.T) {
-	p := BuildPrefix(make([]Stats, 4))
-	for _, c := range [][2]int{{-1, 2}, {0, 5}, {3, 2}} {
+	x, y := splitPrefix(make([]Stats, 4))
+	for _, c := range []struct {
+		i, j int
+		y    []YSum
+	}{{-1, 2, y}, {0, 5, y}, {3, 2, y}, {0, 4, y[:4]}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Range(%d,%d) did not panic", c[0], c[1])
+					t.Errorf("Range(%d,%d) over %d y sums did not panic", c.i, c.j, len(c.y))
 				}
 			}()
-			p.Range(c[0], c[1])
+			Range(x, c.y, c.i, c.j)
 		}()
 	}
 }
@@ -199,6 +232,86 @@ func TestZNormalize(t *testing.T) {
 	}
 	if !almostEq(Std(ys), 1, 1e-12) {
 		t.Fatalf("std after znorm = %v, want 1", Std(ys))
+	}
+}
+
+// legacyZNormalize is ZNormalize as it was before MeanStd and ZScore split
+// it, kept as the oracle of TestZNormalizeMatchesLegacy.
+func legacyZNormalize(ys []float64) {
+	if len(ys) == 0 {
+		return
+	}
+	var sum float64
+	for _, y := range ys {
+		sum += y
+	}
+	mean := sum / float64(len(ys))
+	var varsum float64
+	for _, y := range ys {
+		d := y - mean
+		varsum += d * d
+	}
+	std := math.Sqrt(varsum / float64(len(ys)))
+	if std == 0 || math.IsNaN(std) {
+		for i := range ys {
+			ys[i] -= mean
+		}
+		return
+	}
+	for i := range ys {
+		ys[i] = (ys[i] - mean) / std
+	}
+}
+
+// legacyStd is Std as it was before it reported MeanStd's deviation.
+func legacyStd(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := Mean(xs)
+	var v float64
+	for _, x := range xs {
+		d := x - m
+		v += d * d
+	}
+	return math.Sqrt(v / float64(len(xs)))
+}
+
+// TestZNormalizeMatchesLegacy: ZNormalize, which writes ZScore under
+// MeanStd's mean and deviation, and Std, which reports MeanStd's, agree
+// bit for bit with the one-function form, on hostile values too.
+func TestZNormalizeMatchesLegacy(t *testing.T) {
+	hostile := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 5e-324, 7}
+	r := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 2000; iter++ {
+		ys := make([]float64, r.Intn(40))
+		for i := range ys {
+			switch k := r.Intn(10); {
+			case k < 2 && i > 0:
+				ys[i] = ys[i-1] // constant runs
+			case k < 4:
+				ys[i] = hostile[r.Intn(len(hostile))]
+			default:
+				ys[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(20)-10))
+			}
+		}
+		got, want := append([]float64(nil), ys...), append([]float64(nil), ys...)
+		ZNormalize(got)
+		legacyZNormalize(want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: ZNormalize[%d] = %v, want %v", ys, i, got[i], want[i])
+			}
+		}
+		mean, std := MeanStd(ys)
+		for i, y := range ys {
+			if z := ZScore(y, mean, std); math.Float64bits(z) != math.Float64bits(want[i]) {
+				t.Fatalf("%v: ZScore of %d = %v, want %v", ys, i, z, want[i])
+			}
+		}
+		if s, want := Std(ys), legacyStd(ys); math.Float64bits(s) != math.Float64bits(std) || math.Float64bits(s) != math.Float64bits(want) {
+			t.Fatalf("%v: Std = %v, MeanStd's = %v, want %v", ys, s, std, want)
+		}
 	}
 }
 
@@ -259,48 +372,6 @@ func TestMeanStd(t *testing.T) {
 	}
 	if s := Std([]float64{2, 2, 2}); s != 0 {
 		t.Fatalf("std of constant = %v", s)
-	}
-}
-
-// TestPrefixExtendBitIdentical: BuildPrefix(head).Extend(tail) must be
-// bit-for-bit equal to BuildPrefix(head ++ tail) — the property the append
-// path's incremental maintenance relies on.
-func TestPrefixExtendBitIdentical(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(60)
-		bins := make([]Stats, n)
-		for i := range bins {
-			for k := 0; k < r.Intn(4); k++ {
-				bins[i].Add(r.NormFloat64()*100, r.NormFloat64()*100)
-			}
-		}
-		cut := 0
-		if n > 0 {
-			cut = r.Intn(n + 1)
-		}
-		whole := BuildPrefix(bins)
-		grown := BuildPrefix(bins[:cut]).Extend(bins[cut:])
-		if len(whole) != len(grown) {
-			return false
-		}
-		for i := range whole {
-			if whole[i] != grown[i] { // exact float equality, intentionally
-				return false
-			}
-		}
-		// A nil prefix extends like a fresh build.
-		var nilP Prefix
-		fromNil := nilP.Extend(bins)
-		for i := range whole {
-			if whole[i] != fromNil[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

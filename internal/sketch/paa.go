@@ -2,8 +2,8 @@ package sketch
 
 import "shapesearch/internal/segstat"
 
-// Directions summarizes a (normalized) series into w coarse per-window
-// direction codes: +1 where the window's least-squares slope rises
+// Directions summarizes a (normalized) series, with x values xs and y
+// values y(0), …, y(len(xs)−1), into w coarse per-window direction codes: +1 where the window's least-squares slope rises
 // perceptibly, −1 where it falls, 0 where it reads flat or is degenerate.
 // It is the piecewise-aggregate sibling of blurry-sketch inference: the
 // same "what would this window look like on a chart" question, answered at
@@ -13,8 +13,9 @@ import "shapesearch/internal/segstat"
 // visualizations with matching direction profiles bucket together, which
 // keeps merged slope envelopes tight. The codes are deterministic for a
 // given input and never consulted at query time, so they influence pruning
-// effectiveness only, never correctness.
-func Directions(xs, ys []float64, w int) []int8 {
+// effectiveness only, never correctness. y is called, never kept, so a
+// caller that computes its y values on the fly stores none of them.
+func Directions(xs []float64, y func(i int) float64, w int) []int8 {
 	n := len(xs)
 	if w < 1 || n < 2 {
 		return nil
@@ -33,7 +34,7 @@ func Directions(xs, ys []float64, w int) []int8 {
 		hi := (k + 1) * (n - 1) / w
 		var st segstat.Stats
 		for i := lo; i <= hi; i++ {
-			st.Add(xs[i], ys[i])
+			st.Add(xs[i], y(i))
 		}
 		s, ok := st.Slope()
 		switch {
