@@ -217,11 +217,24 @@ func TestExtractSkipsNaN(t *testing.T) {
 	}
 }
 
-// TestExtractErrors pins EXTRACT's validation errors, each case once on a
-// transient index (Extract) and once on one long-lived index after a
-// successful extraction built its z encoding and a string filter's: an
-// error must not depend on what an earlier extraction built.
-func TestExtractErrors(t *testing.T) {
+// extractErrorCases are EXTRACT's validation errors over extractErrorTable.
+// TestExtractErrors runs each through a transient index (Extract) and
+// TestIndexedExtractErrors through a warmed long-lived one.
+var extractErrorCases = []struct {
+	name string
+	spec ExtractSpec
+}{
+	{"missing z", ExtractSpec{Z: "nope", X: "year", Y: "sales"}},
+	{"string x", ExtractSpec{Z: "product", X: "product", Y: "sales"}},
+	{"string y", ExtractSpec{Z: "product", X: "year", Y: "product"}},
+	{"missing filter column", ExtractSpec{Z: "product", X: "year", Y: "sales",
+		Filters: []Filter{{Col: "ghost", Op: Eq}}}},
+	{"Lt on a string column", ExtractSpec{Z: "product", X: "year", Y: "sales",
+		Filters: []Filter{{Col: "store", Op: Lt, Str: "n"}}}},
+}
+
+func extractErrorTable(t *testing.T) *Table {
+	t.Helper()
 	tbl, err := New(
 		strCol("product", "a", "a", "b", "b"),
 		strCol("store", "n", "s", "n", "s"),
@@ -231,23 +244,24 @@ func TestExtractErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		spec ExtractSpec
-	}{
-		{"missing z", ExtractSpec{Z: "nope", X: "year", Y: "sales"}},
-		{"string x", ExtractSpec{Z: "product", X: "product", Y: "sales"}},
-		{"string y", ExtractSpec{Z: "product", X: "year", Y: "product"}},
-		{"missing filter column", ExtractSpec{Z: "product", X: "year", Y: "sales",
-			Filters: []Filter{{Col: "ghost", Op: Eq}}}},
-		{"Lt on a string column", ExtractSpec{Z: "product", X: "year", Y: "sales",
-			Filters: []Filter{{Col: "store", Op: Lt, Str: "n"}}}},
-	}
-	for _, c := range cases {
+	return tbl
+}
+
+// TestExtractErrors pins EXTRACT's validation errors on a transient index.
+func TestExtractErrors(t *testing.T) {
+	tbl := extractErrorTable(t)
+	for _, c := range extractErrorCases {
 		if _, err := Extract(tbl, c.spec); err == nil {
 			t.Errorf("Extract: %s should error", c.name)
 		}
 	}
+}
+
+// TestIndexedExtractErrors runs the same cases on one long-lived index after
+// a successful extraction built its z encoding and a string filter's: an
+// error must not depend on what an earlier extraction built.
+func TestIndexedExtractErrors(t *testing.T) {
+	tbl := extractErrorTable(t)
 	ix := BuildIndex(tbl)
 	warm := ExtractSpec{Z: "product", X: "year", Y: "sales", Filters: []Filter{{Col: "store", Op: Eq, Str: "n"}}}
 	if series, err := ix.Extract(warm); err != nil || len(series) != 2 {
@@ -258,7 +272,7 @@ func TestExtractErrors(t *testing.T) {
 			t.Fatalf("the warm-up extraction built no encoding of %s", col)
 		}
 	}
-	for _, c := range cases {
+	for _, c := range extractErrorCases {
 		if _, err := ix.Extract(c.spec); err == nil {
 			t.Errorf("long-lived index: %s should error", c.name)
 		}
