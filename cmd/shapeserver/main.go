@@ -21,6 +21,7 @@ import (
 	"log"
 	"net/http"
 	"strings"
+	"time"
 
 	"shapesearch"
 	"shapesearch/internal/gen"
@@ -99,7 +100,26 @@ func main() {
 	}
 
 	log.Printf("shapeserver listening on %s", *addr)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	if err := httpServer(*addr, srv).ListenAndServe(); err != nil {
 		log.Fatal(fmt.Errorf("shapeserver: %w", err))
 	}
+}
+
+// Connection timeouts. Admission control bounds the requests it sees, but
+// a connection is not a request until its header has arrived: without a
+// header timeout a client that sends its header slowly holds a connection
+// and a goroutine for as long as it likes.
+const (
+	// readHeaderTimeout is how long a client may take to send a request's
+	// header; the connection is closed past it.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout is how long a kept-alive connection may wait for its
+	// next request before it is closed.
+	idleTimeout = 2 * time.Minute
+)
+
+// httpServer builds the HTTP server that serves h on addr, with the
+// connection timeouts above.
+func httpServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

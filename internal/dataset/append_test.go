@@ -67,8 +67,11 @@ func copyTable(t *Table) *Table {
 		cols[i] = Column{Name: c.Name, Type: c.Type}
 		if c.Type == Float {
 			cols[i].Floats = append([]float64(nil), c.Floats...)
-		} else {
-			cols[i].Strings = append([]string(nil), c.Strings...)
+			continue
+		}
+		cols[i].Strings = make([]string, c.Len())
+		for r := range cols[i].Strings {
+			cols[i].Strings[r] = c.ValueString(r)
 		}
 	}
 	nt, err := New(cols...)

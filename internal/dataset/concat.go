@@ -21,10 +21,13 @@ func Concat(tables ...*Table) (*Table, error) {
 	for ci := range head.cols {
 		cols[ci] = Column{Name: head.cols[ci].Name, Type: head.cols[ci].Type}
 		for _, t := range tables {
+			src := &t.cols[ci]
 			if cols[ci].Type == Float {
-				cols[ci].Floats = append(cols[ci].Floats, t.cols[ci].Floats...)
-			} else {
-				cols[ci].Strings = append(cols[ci].Strings, t.cols[ci].Strings...)
+				cols[ci].Floats = append(cols[ci].Floats, src.Floats...)
+				continue
+			}
+			for r := 0; r < t.rows; r++ {
+				cols[ci].Strings = append(cols[ci].Strings, src.ValueString(r))
 			}
 		}
 	}

@@ -5,11 +5,11 @@
 // parameters z, x and y.
 //
 // EXTRACT has one physical implementation, the columnar *Index built by
-// BuildIndex: dictionary-encoded grouping and filter columns, memoized
-// per-group (z, x) row layouts, and vectorized filter kernels over a
-// selection bitmap, each built on first use. A bare *Table extracts through
-// a transient Index; serving layers keep one Index per registered table, so
-// what the first search builds serves the rest.
+// BuildIndex: memoized per-group (z, x) row layouts, encodings of float
+// grouping columns, and vectorized filter kernels over a selection bitmap,
+// each built on first use. A bare *Table extracts through a transient
+// Index; serving layers keep one Index per registered table, so what the
+// first search builds serves the rest.
 package dataset
 
 import (
@@ -28,29 +28,35 @@ const (
 	String
 )
 
-// Column is one named, typed column. Exactly one of Floats or Strings is
-// populated, matching Type.
+// Column is one named, typed column: a Float column's values are Floats.
+// A String column's Strings are New's input only: New dictionary-encodes
+// them and sets Strings to nil, so a table's strings read through
+// ValueString.
 type Column struct {
 	Name    string
 	Type    ColumnType
 	Floats  []float64
 	Strings []string
+	// enc is a String column's dictionary encoding, built by New and grown
+	// by Index.Append.
+	enc *zEncoding
 }
 
-// Len reports the number of values in the column.
+// Len reports the number of values in a table's column.
 func (c *Column) Len() int {
 	if c.Type == Float {
 		return len(c.Floats)
 	}
-	return len(c.Strings)
+	return len(c.enc.codes)
 }
 
-// ValueString renders row i as a string (used for z grouping keys).
+// ValueString renders row i of a table's column as a string (used for z
+// grouping keys).
 func (c *Column) ValueString(i int) string {
 	if c.Type == Float {
 		return strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
 	}
-	return c.Strings[i]
+	return c.enc.dict[c.enc.codes[i]]
 }
 
 // Table is an immutable in-memory columnar table.
@@ -61,6 +67,9 @@ type Table struct {
 }
 
 // New builds a table from columns. All columns must share one length.
+// Each String column is dictionary-encoded in one pass: the table keeps a
+// code per row and one copy of each distinct value, sharing no storage
+// with Strings.
 func New(cols ...Column) (*Table, error) {
 	t := &Table{byName: make(map[string]int, len(cols))}
 	for i, c := range cols {
@@ -69,6 +78,10 @@ func New(cols ...Column) (*Table, error) {
 		}
 		if _, dup := t.byName[c.Name]; dup {
 			return nil, fmt.Errorf("dataset: duplicate column %q", c.Name)
+		}
+		if ss := c.Strings; c.Type == String {
+			c.enc, c.Strings = &zEncoding{}, nil
+			c.enc.extend(len(ss), func(k int) bool { return ss[k] == ss[k-1] }, func(k int) string { return ss[k] })
 		}
 		if i > 0 && c.Len() != t.rows {
 			return nil, fmt.Errorf("dataset: column %q has %d rows, want %d", c.Name, c.Len(), t.rows)
@@ -115,7 +128,10 @@ func (t *Table) DistinctValues(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := encodeColumn(c)
+	e := c.enc
+	if c.Type == Float {
+		e = (&zEncoding{}).extendFloats(c)
+	}
 	out := make([]string, len(e.order))
 	for i, code := range e.order {
 		out[i] = e.dict[code]
@@ -229,6 +245,11 @@ func ParseAgg(name string) (Agg, error) {
 
 // Series is one candidate visualization: the trendline of a single z value,
 // sorted by x.
+//
+// X and Y may share the table's storage: an extraction with no filter, no
+// XRanges and AggNone returns a group the table holds in x order, with
+// every y finite and not −0, as capped sub-slices of the table's x and y
+// columns. Callers must not modify a series.
 type Series struct {
 	Z string
 	X []float64
@@ -263,7 +284,8 @@ type Source interface {
 	// Table returns the underlying columnar table (for metadata access).
 	Table() *Table
 	// Extract selects and aggregates records into one Series per distinct
-	// z value, sorted on z then x.
+	// z value, sorted on z then x. A series may share the table's storage
+	// and must not be modified (see Series).
 	Extract(spec ExtractSpec) ([]Series, error)
 }
 
@@ -303,9 +325,9 @@ func resolveSpec(t *Table, spec ExtractSpec) (zc, xc, yc *Column, err error) {
 }
 
 // Extract runs EXTRACT over a bare table through a transient Index (see
-// BuildIndex and Index.Extract). The transient index encodes only the z
-// column and the string columns the spec filters on, and writes nothing
-// to t.
+// BuildIndex and Index.Extract). The transient index builds only the (z, x)
+// layout, and a Float z's encoding, and writes nothing to t. A series may
+// share t's storage and must not be modified (see Series).
 func Extract(t *Table, spec ExtractSpec) ([]Series, error) { return BuildIndex(t).Extract(spec) }
 
 type point struct{ x, y float64 }

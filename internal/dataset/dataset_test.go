@@ -258,8 +258,8 @@ func TestExtractErrors(t *testing.T) {
 }
 
 // TestIndexedExtractErrors runs the same cases on one long-lived index after
-// a successful extraction built its z encoding and a string filter's: an
-// error must not depend on what an earlier extraction built.
+// a successful string-filtered extraction built its (z, x) layout: an error
+// must not depend on what an earlier extraction built.
 func TestIndexedExtractErrors(t *testing.T) {
 	tbl := extractErrorTable(t)
 	ix := BuildIndex(tbl)
@@ -267,10 +267,8 @@ func TestIndexedExtractErrors(t *testing.T) {
 	if series, err := ix.Extract(warm); err != nil || len(series) != 2 {
 		t.Fatalf("warm-up extraction: %d series, error %v", len(series), err)
 	}
-	for _, col := range []string{"product", "store"} {
-		if ix.enc[tbl.byName[col]].enc == nil {
-			t.Fatalf("the warm-up extraction built no encoding of %s", col)
-		}
+	if lp := ix.perms[permKey{tbl.byName["product"], tbl.byName["year"]}]; lp == nil || lp.p == nil {
+		t.Fatal("the warm-up extraction built no (product, year) layout")
 	}
 	for _, c := range extractErrorCases {
 		if _, err := ix.Extract(c.spec); err == nil {
@@ -302,7 +300,7 @@ func TestFromCSV(t *testing.T) {
 		t.Fatal("empty numeric cell should be NaN")
 	}
 	n, _ := tbl.Column("note")
-	if n.Type != String || n.Strings[0] != "cold" {
+	if n.Type != String || n.ValueString(0) != "cold" {
 		t.Fatal("note should infer String")
 	}
 	if _, err := FromCSV(strings.NewReader("")); err == nil {
@@ -384,7 +382,7 @@ func TestFromJSONMixedTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := tbl.Column("a")
-	if a.Type != String || a.Strings[0] != "1" {
+	if a.Type != String || a.ValueString(0) != "1" {
 		t.Fatalf("a = %+v", a)
 	}
 	b, _ := tbl.Column("b")

@@ -21,10 +21,9 @@ type kernel func(sel []uint64, first bool)
 
 // compileFilters validates the filter conjunction against the indexed
 // table — column existence and operator/type compatibility — and compiles
-// it into vectorized kernels. A string filter compares codes of its
-// column's encoding, which it builds on first use and later extractions
-// reuse; a float filter compares values and builds nothing. Caller holds
-// dataMu.
+// it into vectorized kernels. A string filter compares codes of the
+// encoding New built for its column, a float filter compares values, and
+// neither builds anything. Caller holds dataMu.
 func (ix *Index) compileFilters(filters []Filter) (*filterProgram, error) {
 	if len(filters) == 0 {
 		return nil, nil

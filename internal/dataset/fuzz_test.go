@@ -114,7 +114,10 @@ func fuzzIndexSeed(flags byte, spec, cuts []byte, rows ...[5]byte) []byte {
 // ExtractGroups over the delta's z values must return exactly the
 // matching series. A flag byte chooses whether the index extracts before
 // the first append, so appends extend built encodings and layouts, or
-// builds them later over the grown table.
+// builds them later over the grown table. Every series extracted before a
+// delta is kept beside a copy, and after every later append it must still
+// equal its copy bit for bit: an extraction may share the table's storage,
+// and no append may write through it.
 func FuzzIndexAppend(f *testing.F) {
 	sorted := [][5]byte{{0, 4, 10, 0, 1}, {0, 6, 12, 1, 2}, {0, 8, 9, 0, 3}, {1, 4, 2, 1, 1}, {1, 6, 5, 0, 2}, {2, 4, 7, 2, 1}}
 	// Three string groups laid out series by series, no filters; deltas
@@ -156,7 +159,18 @@ func FuzzIndexAppend(f *testing.F) {
 		base := fuzzTable(rows[:5*cuts[1]])
 		parts := []*Table{copyTable(base)}
 		ix := BuildIndex(base)
+		var kept, copies [][]Series
+		keep := func(ss []Series) {
+			cp := make([]Series, len(ss))
+			for i, s := range ss {
+				cp[i] = Series{Z: s.Z, X: slices.Clone(s.X), Y: slices.Clone(s.Y)}
+			}
+			kept, copies = append(kept, ss), append(copies, cp)
+		}
 		check := func(step int) {
+			for i := range kept {
+				assertSeriesIdentical(t, copies[i], kept[i])
+			}
 			whole, err := Concat(parts...)
 			if err != nil {
 				t.Fatal(err)
@@ -170,6 +184,7 @@ func FuzzIndexAppend(f *testing.F) {
 				return
 			}
 			assertSeriesIdentical(t, want, got)
+			keep(got)
 			last := parts[len(parts)-1]
 			zvals, err := last.DistinctValues(spec.Z)
 			if err != nil {
@@ -186,6 +201,7 @@ func FuzzIndexAppend(f *testing.F) {
 				}
 			}
 			assertSeriesIdentical(t, touched, groups)
+			keep(groups)
 		}
 		if warm || len(cuts) == 2 {
 			check(0)

@@ -13,16 +13,17 @@ import (
 // Index is the columnar EXTRACT operator over a Table — the OLAP-style
 // physical design Section 5.1 assumes. It holds
 //
-//   - dictionary encodings of grouping and string filter columns: each
-//     distinct rendered value gets an integer code in order of first
-//     appearance, and a value-order view keeps extraction output sorted by
-//     the rendered value, so z grouping compares integers and ValueString
-//     never runs in a hot loop. Every encoding is built on first use;
+//   - dictionary encodings of grouping columns (a String column's built by
+//     New, a Float column's on first use): each distinct rendered value gets
+//     an integer code in order of first appearance, and a value-order view
+//     keeps extraction output sorted by the rendered value, so z grouping
+//     compares integers and ValueString never runs in a hot loop;
 //   - per (z, x) attribute pair, a memoized per-group row layout: each z
-//     code's rows sorted by (x value, row). Extraction becomes one pass
-//     over the groups in value order with no hash maps and no per-query
-//     sorts, and XRange restriction a binary search inside each group.
-//     Layouts are built on first use and memoized, so repeated
+//     code's rows sorted by (x value, row), stored as a run when they are
+//     consecutive table rows already in that order. Extraction becomes one
+//     pass over the groups in value order with no hash maps and no
+//     per-query sorts, and XRange restriction a binary search inside each
+//     group. Layouts are built on first use and memoized, so repeated
 //     distinct-filter queries over one chart (the candidate-cache-miss
 //     traffic) pay the sort once.
 //
@@ -43,7 +44,7 @@ type Index struct {
 	// extended only under the write lock.
 	dataMu sync.RWMutex
 
-	// enc[ci] is the encoding of column ci, built on first use.
+	// enc[ci] is the encoding of Float column ci, built on first use.
 	enc []lazyEnc
 
 	mu    sync.Mutex
@@ -73,10 +74,13 @@ type zEncoding struct {
 	order []uint32 // codes in ascending dict-value order
 }
 
-// encodeColumn builds a column's encoding.
-func encodeColumn(c *Column) *zEncoding {
-	e := &zEncoding{}
-	e.extend(c)
+// extendFloats encodes the rows of Float column c past the last encoded
+// one and returns e. Equal bits render alike; −0 and +0 do not, so rows
+// compare by bits, not ==.
+func (e *zEncoding) extendFloats(c *Column) *zEncoding {
+	lo, fs := len(e.codes), c.Floats
+	e.extend(len(fs)-lo, func(k int) bool { return math.Float64bits(fs[lo+k]) == math.Float64bits(fs[lo+k-1]) },
+		func(k int) string { return c.ValueString(lo + k) })
 	return e
 }
 
@@ -89,28 +93,30 @@ func (e *zEncoding) lookup(v string) (uint32, bool) {
 	return 0, false
 }
 
-// extend encodes the rows of c past the last encoded one in one pass. A
-// row equal to the previous row takes its code without a lookup — a table
-// laid out series by series keeps each group's rows together, so most rows
-// cost one comparison — known values reuse their code, and unseen values
-// get fresh codes at the end of the dictionary. The value-order view is
-// then re-sorted once, O(d log d) in the distinct count.
-func (e *zEncoding) extend(c *Column) {
-	lo, hi := len(e.codes), c.Len()
-	known := len(e.dict)
-	e.codes = slices.Grow(e.codes, hi-lo)
+// extend encodes n more rows in one pass: value(k) renders the k-th, and
+// same(k), asked for k > 0, whether it renders like the one before. Such a
+// row takes that code without a lookup — a table laid out series by series
+// keeps each group's rows together, so most rows cost one comparison —
+// known values reuse their code, and unseen values get fresh codes at the
+// end of the dictionary as copies (encoding/csv backs a record's fields
+// with one string, which a shared value would keep alive). The value-order
+// view is then re-sorted once, O(d log d) in the distinct count.
+func (e *zEncoding) extend(n int, same func(k int) bool, value func(k int) string) {
+	lo, known := len(e.codes), len(e.dict)
+	e.codes = slices.Grow(e.codes, n)
 	var added map[string]uint32
-	for i := lo; i < hi; i++ {
-		if i > 0 && sameValue(c, i, i-1) {
-			e.codes = append(e.codes, e.codes[i-1])
+	for k := 0; k < n; k++ {
+		if k > 0 && same(k) {
+			e.codes = append(e.codes, e.codes[lo+k-1])
 			continue
 		}
-		v := c.ValueString(i)
+		v := value(k)
 		code, ok := added[v]
 		if !ok {
 			code, ok = e.lookup(v)
 		}
 		if !ok {
+			v = strings.Clone(v)
 			code = uint32(len(e.dict))
 			e.dict = append(e.dict, v)
 			if added == nil {
@@ -129,26 +135,46 @@ func (e *zEncoding) extend(c *Column) {
 	slices.SortFunc(e.order, func(a, b uint32) int { return strings.Compare(e.dict[a], e.dict[b]) })
 }
 
-// sameValue reports whether rows i and j of c render alike. Equal float
-// bits render alike; −0 and +0 do not, so floats compare by bits, not ==.
-func sameValue(c *Column, i, j int) bool {
-	if c.Type == String {
-		return c.Strings[i] == c.Strings[j]
-	}
-	return math.Float64bits(c.Floats[i]) == math.Float64bits(c.Floats[j])
+// zxPerm is the memoized physical layout for one (z, x) attribute pair:
+// per z code, the group's rows sorted by (x, row) with non-finite-x rows
+// dropped. Extraction iterates groups in the encoding's value order, so
+// output order never depends on code-assignment order.
+type zxPerm struct {
+	groups []group // indexed by z code; empty = no rows
 }
 
-// zxPerm is the memoized physical layout for one (z, x) attribute pair:
-// per z code, the row list sorted by (x, row) with NaN-x rows dropped.
-// Extraction iterates groups in the encoding's value order, so output
-// order never depends on code-assignment order.
-type zxPerm struct {
-	groups [][]int32 // indexed by z code; empty = no rows
+// group is one z code's n rows in (x, row) order: the row list rows, or
+// when rows is nil the run of consecutive table rows lo, …, lo+n−1, which
+// costs no row array.
+type group struct {
+	rows  []int32
+	lo, n int32
+}
+
+// row returns the group's k-th row: the one accessor extraction,
+// ExtractGroups and the XRange binary searches read rows through.
+func (g *group) row(k int) int {
+	if g.rows != nil {
+		return int(g.rows[k])
+	}
+	return int(g.lo) + k
+}
+
+// list returns the group's row list; a run becomes a new one.
+func (g *group) list() []int32 {
+	if g.rows != nil {
+		return g.rows
+	}
+	rows := make([]int32, g.n)
+	for k := range rows {
+		rows[k] = g.lo + int32(k)
+	}
+	return rows
 }
 
 // BuildIndex returns the columnar index for a table. It does no per-row
-// work: each column's encoding and each (z, x) layout is built by the
-// first extraction that needs it. BuildIndex never writes to t; only
+// work: each Float column's encoding and each (z, x) layout is built by
+// the first extraction that needs it. BuildIndex never writes to t; only
 // Append grows it, in place.
 func BuildIndex(t *Table) *Index {
 	return &Index{
@@ -171,11 +197,15 @@ func (ix *Index) NumRows() int {
 	return ix.t.rows
 }
 
-// encoding returns the encoding of column ci, building it on first use.
-// Caller holds dataMu.
+// encoding returns the encoding of column ci: a String column's own, or a
+// Float column's, built on first use. Caller holds dataMu.
 func (ix *Index) encoding(ci int) *zEncoding {
+	c := &ix.t.cols[ci]
+	if c.Type == String {
+		return c.enc
+	}
 	e := &ix.enc[ci]
-	e.once.Do(func() { e.enc = encodeColumn(&ix.t.cols[ci]) })
+	e.once.Do(func() { e.enc = (&zEncoding{}).extendFloats(c) })
 	return e.enc
 }
 
@@ -195,9 +225,10 @@ func (ix *Index) perm(zi, xi int) *zxPerm {
 
 // buildPerm buckets row ids by z code in two counting passes, dropping
 // non-finite-x rows (they can never appear in a series for this x
-// attribute), and sorts each group by (x, row). The groups share one
-// backing array, each capped at its own length so Append's growth of one
-// group copies it rather than overwriting the next.
+// attribute), and sorts each group by (x, row). A group of consecutive
+// rows already in that order is a run; the row lists share one backing
+// array, which runs do not hold, each capped at its own length so Append's
+// growth of one group copies it rather than overwriting the next.
 func (ix *Index) buildPerm(zi, xi int) *zxPerm {
 	enc := ix.encoding(zi)
 	xs := ix.t.cols[xi].Floats
@@ -222,41 +253,50 @@ func (ix *Index) buildPerm(zi, xi int) *zxPerm {
 			rows[ends[codes[i]]] = int32(i)
 		}
 	}
-	p := &zxPerm{groups: make([][]int32, len(enc.dict))}
+	p := &zxPerm{groups: make([]group, len(enc.dict))}
 	for c, lo := range ends {
 		hi := total
 		if c+1 < len(ends) {
 			hi = ends[c+1]
 		}
-		p.groups[c] = rows[lo:hi:hi]
-		sortByXRow(p.groups[c], xs)
+		// A group's rows ascend, so they are consecutive exactly when the
+		// last is len−1 past the first.
+		switch g := rows[lo:hi:hi]; {
+		case len(g) == 0:
+		case sortByXRow(g, xs) && int(g[len(g)-1]-g[0]) == len(g)-1:
+			p.groups[c] = group{lo: g[0], n: int32(len(g))}
+		default:
+			p.groups[c] = group{rows: g, n: int32(len(g))}
+		}
 	}
 	return p
 }
 
-// sortByXRow sorts a row list by (x value, row id), checking first whether
-// it already is: rows laid out in x order within each group need no sort.
-func sortByXRow(rows []int32, xs []float64) {
+// sortByXRow sorts a row list by (x value, row id) and reports whether it
+// already was: rows laid out in x order within each group need no sort.
+func sortByXRow(rows []int32, xs []float64) bool {
 	byXRow := func(a, b int32) int {
 		if c := cmp.Compare(xs[a], xs[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	}
-	if !slices.IsSortedFunc(rows, byXRow) {
-		slices.SortFunc(rows, byXRow)
+	if slices.IsSortedFunc(rows, byXRow) {
+		return true
 	}
+	slices.SortFunc(rows, byXRow)
+	return false
 }
 
 // extend absorbs appended rows [base, total) into the layout: the delta is
 // bucketed per group and only each group's tail is sorted; a tail whose
 // first x is at or past the group's last x — the in-order streaming case —
 // is appended outright, anything else is merged in one linear pass over
-// the group. Cost is O(delta log delta) plus the touched groups' sizes,
-// never the corpus's.
+// the group. A touched group becomes a row list. Cost is O(delta log
+// delta) plus the touched groups' sizes, never the corpus's.
 func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 	if len(p.groups) < len(enc.dict) {
-		p.groups = append(p.groups, make([][]int32, len(enc.dict)-len(p.groups))...)
+		p.groups = append(p.groups, make([]group, len(enc.dict)-len(p.groups))...)
 	}
 	var touched []uint32
 	tails := make(map[uint32][]int32)
@@ -273,9 +313,10 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 	for _, c := range touched {
 		tail := tails[c]
 		sortByXRow(tail, xs)
-		old := p.groups[c]
+		old := p.groups[c].list()
 		if len(old) == 0 || xs[tail[0]] >= xs[old[len(old)-1]] {
-			p.groups[c] = append(old, tail...)
+			rows := append(old, tail...)
+			p.groups[c] = group{rows: rows, n: int32(len(rows))}
 			continue
 		}
 		// Out-of-order arrival: merge the sorted tail into the sorted group.
@@ -294,7 +335,7 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 		}
 		merged = append(merged, old[i:]...)
 		merged = append(merged, tail[j:]...)
-		p.groups[c] = merged
+		p.groups[c] = group{rows: merged, n: int32(len(merged))}
 	}
 }
 
@@ -305,7 +346,9 @@ func (p *zxPerm) extend(enc *zEncoding, xs []float64, base, total int) {
 // (see zxPerm.extend). Lazy state not yet built stays unbuilt and simply
 // sees the longer table on first use. Readers block for the duration; an
 // extraction started before Append returns the pre-append snapshot, one
-// started after returns the post-append table, never a mix.
+// started after returns the post-append table, never a mix. Append never
+// rewrites a row, so a series that shares the table's storage keeps its
+// values.
 func (ix *Index) Append(delta *Table) error {
 	if err := validateAppendSchema(ix.t, delta); err != nil {
 		return err
@@ -315,27 +358,25 @@ func (ix *Index) Append(delta *Table) error {
 	t := ix.t
 	base := t.rows
 	for ci := range t.cols {
-		dst, src := &t.cols[ci], &delta.cols[ci]
+		dst, src := &t.cols[ci], delta.cols[ci].enc
 		if dst.Type == Float {
-			dst.Floats = append(dst.Floats, src.Floats...)
+			dst.Floats = append(dst.Floats, delta.cols[ci].Floats...)
 		} else {
-			dst.Strings = append(dst.Strings, src.Strings...)
+			dst.enc.extend(len(src.codes), func(k int) bool { return src.codes[k] == src.codes[k-1] },
+				func(k int) string { return src.dict[src.codes[k]] })
+		}
+		// Built encodings and layouts extend in place; e.enc and lp.p reads
+		// are safe here because every lazy build runs under the read lock,
+		// which the write lock excludes.
+		if e := ix.enc[ci].enc; e != nil {
+			e.extendFloats(dst)
 		}
 	}
 	t.rows += delta.rows
-	for ci := range ix.enc {
-		// Built encodings extend in place; lp.p / e.enc reads are safe here
-		// because every lazy build runs under the read lock, which the write
-		// lock excludes.
-		if e := ix.enc[ci].enc; e != nil {
-			e.extend(&t.cols[ci])
-		}
-	}
 	for key, lp := range ix.perms {
-		if lp.p == nil {
-			continue
+		if lp.p != nil {
+			lp.p.extend(ix.encoding(key.z), t.cols[key.x].Floats, base, t.rows)
 		}
-		lp.p.extend(ix.enc[key.z].enc, t.cols[key.x].Floats, base, t.rows)
 	}
 	return nil
 }
@@ -361,7 +402,8 @@ func validateAppendSchema(t, delta *Table) error {
 // value, sorted on z then x (the EXTRACT physical operator, Section 5.3):
 // filters run as vectorized kernels into a selection bitmap, grouping walks
 // the memoized (z, x) groups in value order, and XRanges narrow each group
-// by binary search.
+// by binary search. A series may share the table's storage and must not be
+// modified (see Series).
 func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	ix.dataMu.RLock()
 	defer ix.dataMu.RUnlock()
@@ -372,13 +414,13 @@ func (ix *Index) Extract(spec ExtractSpec) ([]Series, error) {
 	series := make([]Series, 0, len(st.enc.order))
 	var pts []point // scratch, reused across groups
 	for _, code := range st.enc.order {
-		rows := st.p.groups[code]
-		if len(rows) == 0 {
+		g := &st.p.groups[code]
+		if int(g.n) == 0 {
 			continue
 		}
 		var s Series
 		var ok bool
-		pts, s, ok, err = st.extractGroup(rows, st.enc.dict[code], spec, pts)
+		pts, s, ok, err = st.extractGroup(g, st.enc.dict[code], spec, pts)
 		if err != nil {
 			return nil, err
 		}
@@ -414,12 +456,12 @@ func (ix *Index) ExtractGroups(spec ExtractSpec, zvals []string) ([]Series, erro
 		if !ok {
 			continue
 		}
-		rows := st.p.groups[code]
-		if len(rows) == 0 {
+		g := &st.p.groups[code]
+		if int(g.n) == 0 {
 			continue
 		}
 		var s Series
-		pts, s, ok, err = st.extractGroup(rows, z, spec, pts)
+		pts, s, ok, err = st.extractGroup(g, z, spec, pts)
 		if err != nil {
 			return nil, err
 		}
@@ -473,15 +515,25 @@ func (ix *Index) extractState(spec ExtractSpec) (*extractCtx, error) {
 	}, nil
 }
 
-// extractGroup renders one z group's Series from its sorted row list; both
+// extractGroup renders one z group's Series from its sorted rows; both
 // extraction entry points share it so their output stays bit-identical.
 // ok=false when filters, windows and non-finite values leave no points.
-func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts []point) ([]point, Series, bool, error) {
+//
+// An unfiltered, unwindowed AggNone series of a run that building would
+// copy unchanged shares the run's x and y instead, capped so that
+// appending to the series cannot write into the table.
+func (st *extractCtx) extractGroup(g *group, z string, spec ExtractSpec, pts []point) ([]point, Series, bool, error) {
+	if g.rows == nil && st.sel == nil && st.ranges == nil && spec.Agg == AggNone {
+		lo, hi := int(g.lo), int(g.lo+g.n)
+		if xs, ys := st.xs[lo:hi:hi], st.ys[lo:hi:hi]; aliasable(xs, ys) {
+			return pts, Series{Z: z, X: xs, Y: ys}, true, nil
+		}
+	}
 	pts = pts[:0]
 	appendRange := func(start, end int) {
 		for k := start; k < end; k++ {
-			row := rows[k]
-			if !selected(st.sel, int(row)) {
+			row := g.row(k)
+			if !selected(st.sel, row) {
 				continue
 			}
 			y := st.ys[row]
@@ -492,14 +544,14 @@ func (st *extractCtx) extractGroup(rows []int32, z string, spec ExtractSpec, pts
 		}
 	}
 	if st.ranges == nil {
-		appendRange(0, len(rows))
+		appendRange(0, int(g.n))
 	} else {
 		// Disjoint ascending windows over a group sorted by x: each
 		// binary-searches to its sub-range, and visiting them in order
 		// preserves the global (x, row) order.
 		for _, r := range st.ranges {
-			lo := searchRunX(rows, st.xs, 0, len(rows), r[0])
-			hi := searchRunXAfter(rows, st.xs, lo, len(rows), r[1])
+			lo := searchRun(g, st.xs, 0, func(x float64) bool { return x >= r[0] })
+			hi := searchRun(g, st.xs, lo, func(x float64) bool { return x > r[1] })
 			appendRange(lo, hi)
 		}
 	}
@@ -533,19 +585,22 @@ func buildSeries(z string, pts []point, spec ExtractSpec) (Series, error) {
 	return s, nil
 }
 
-// searchRunX returns the first position in rows[start:end) whose x is >= v.
-func searchRunX(rows []int32, xs []float64, start, end int, v float64) int {
-	return start + sort.Search(end-start, func(k int) bool {
-		return xs[rows[start+k]] >= v
-	})
+// aliasable reports whether a run's x and y are its AggNone series bit for
+// bit: x strictly increases (a repeated x is an error), and every y is
+// finite and not −0, which aggregate's zero sum turns into +0.
+func aliasable(xs, ys []float64) bool {
+	for k, y := range ys {
+		if !finite(y) || y == 0 && math.Signbit(y) || k > 0 && xs[k] <= xs[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
-// searchRunXAfter returns the first position in rows[start:end) whose x is
-// strictly greater than v.
-func searchRunXAfter(rows []int32, xs []float64, start, end int, v float64) int {
-	return start + sort.Search(end-start, func(k int) bool {
-		return xs[rows[start+k]] > v
-	})
+// searchRun returns the first position of g at or after start whose x
+// satisfies past, a predicate that holds from some x on.
+func searchRun(g *group, xs []float64, start int, past func(x float64) bool) int {
+	return start + sort.Search(int(g.n)-start, func(k int) bool { return past(xs[g.row(start+k)]) })
 }
 
 // normalizeRanges drops empty windows (start > end, or any NaN bound) and

@@ -42,11 +42,10 @@ func benchTable(groups, perGroup int) *Table {
 }
 
 // BenchmarkIndexFirstExtract measures one-shot extraction: Extract builds
-// a transient index, encodes the columns the spec reads and builds the
-// (z, x) layout, so this is the full price of extracting from a bare table
-// once. Legacy is the row-at-a-time oracle on the same spec. The Filtered
-// pair adds a float and a string filter; the string filter encodes its
-// column too.
+// a transient index and its (z, x) layout, so this is the full price of
+// extracting from a bare table once (New already encoded its string
+// columns). Legacy is the row-at-a-time oracle on the same spec. The
+// Filtered pair adds a float and a string filter.
 func BenchmarkIndexFirstExtract(b *testing.B) {
 	tbl := benchTable(500, 100)
 	plain := ExtractSpec{Z: "z", X: "x", Y: "y"}
@@ -92,8 +91,7 @@ func BenchmarkExtractDistinctFilters(b *testing.B) {
 			},
 		}
 	}
-	// Warm the (z, x) permutation and the sector encoding so the steady
-	// state is measured.
+	// Warm the (z, x) layout so the steady state is measured.
 	if _, err := ix.Extract(specAt(0)); err != nil {
 		b.Fatal(err)
 	}

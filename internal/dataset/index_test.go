@@ -313,10 +313,11 @@ func TestIndexPermMemoized(t *testing.T) {
 	}
 }
 
-// TestIndexLazyEncodings pins what each extraction builds: a new index
-// holds no encoding, the first extraction encodes its z column, a float
-// filter encodes nothing, and a string filter encodes its own column. No
-// extraction writes to the table.
+// TestIndexLazyEncodings pins what each extraction builds. New encodes the
+// string columns, so an index builds only float z encodings and (z, x)
+// layouts: a new index holds neither, an extraction builds its layout, a
+// float or string filter builds nothing, and a float z builds its
+// encoding. No extraction writes to the table.
 func TestIndexLazyEncodings(t *testing.T) {
 	tbl, err := New(
 		strCol("z", "b", "b", "a", "a", "c"),
@@ -331,11 +332,18 @@ func TestIndexLazyEncodings(t *testing.T) {
 	}
 	before := copyTable(tbl)
 	ix := BuildIndex(tbl)
+	// built lists the built float encodings by column name, then the built
+	// layouts by z column name, in column order.
 	built := func() []string {
 		var names []string
 		for ci := range ix.enc {
 			if ix.enc[ci].enc != nil {
 				names = append(names, tbl.cols[ci].Name)
+			}
+		}
+		for ci := range tbl.cols {
+			if lp := ix.perms[permKey{ci, tbl.byName["x"]}]; lp != nil && lp.p != nil {
+				names = append(names, tbl.cols[ci].Name+"/x")
 			}
 		}
 		return names
@@ -345,10 +353,10 @@ func TestIndexLazyEncodings(t *testing.T) {
 		want []string
 	}{
 		{ExtractSpec{}, nil}, // a new index: nothing built yet
-		{ExtractSpec{Z: "z", X: "x", Y: "y"}, []string{"z"}},
-		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "f", Op: Lt, Num: 1}}}, []string{"z"}},
-		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "s", Op: Eq, Str: "p"}}}, []string{"z", "s"}},
-		{ExtractSpec{Z: "zf", X: "x", Y: "y"}, []string{"z", "s", "zf"}},
+		{ExtractSpec{Z: "z", X: "x", Y: "y"}, []string{"z/x"}},
+		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "f", Op: Lt, Num: 1}}}, []string{"z/x"}},
+		{ExtractSpec{Z: "z", X: "x", Y: "y", Filters: []Filter{{Col: "s", Op: Eq, Str: "p"}}}, []string{"z/x"}},
+		{ExtractSpec{Z: "zf", X: "x", Y: "y"}, []string{"zf", "z/x", "zf/x"}},
 	}
 	for i, st := range steps {
 		if i > 0 {
@@ -368,8 +376,137 @@ func TestIndexLazyEncodings(t *testing.T) {
 	}
 	for ci, c := range tbl.cols {
 		b := before.cols[ci]
-		if c.Len() != b.Len() || !slices.Equal(c.Strings, b.Strings) || !slices.Equal(c.Floats, b.Floats) {
+		if c.Len() != b.Len() || !slices.Equal(c.Floats, b.Floats) {
 			t.Fatalf("column %q changed under extraction: %+v, was %+v", c.Name, c, b)
 		}
+		for r := 0; r < c.Len(); r++ {
+			if c.ValueString(r) != b.ValueString(r) {
+				t.Fatalf("column %q row %d changed under extraction: %q, was %q", c.Name, r, c.ValueString(r), b.ValueString(r))
+			}
+		}
 	}
+}
+
+// sharesStorage reports whether s starts inside col's storage.
+func sharesStorage(s, col []float64) bool {
+	for k := range col {
+		if &col[k] == &s[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExtractAliasesTable pins when a series shares the table's storage:
+// exactly for a group the table holds contiguously and in x order,
+// extracted with no filter, no XRanges and AggNone, whose y values are
+// finite and not −0. Every other case copies, and every case equals the
+// row-at-a-time oracle bit for bit. An aliased series is capped at its
+// length and survives appends to its group.
+func TestExtractAliasesTable(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name  string
+		z     []string
+		x, y  []float64
+		spec  ExtractSpec // Z, X and Y are filled in
+		alias bool
+		err   bool
+	}{
+		{name: "contiguous and in x order", z: []string{"a", "a", "a", "b", "b"}, x: []float64{1, 2, 3, 1, 2}, y: []float64{4, 0, 6, 1, 2}, alias: true},
+		{name: "non-finite x dropped at the group's end", z: []string{"a", "a", "a"}, x: []float64{1, 2, math.NaN()}, y: []float64{4, 5, 6}, alias: true},
+		{name: "−0 y", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, negZero, 6}},
+		{name: "NaN y", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, math.NaN(), 6}},
+		{name: "+Inf y", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{math.Inf(1), 5, 6}},
+		{name: "−Inf y", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, 5, math.Inf(-1)}},
+		{name: "float filter", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, 5, 6},
+			spec: ExtractSpec{Filters: []Filter{{Col: "n", Op: Ge, Num: 0}}}},
+		{name: "string filter", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, 5, 6},
+			spec: ExtractSpec{Filters: []Filter{{Col: "s", Op: Eq, Str: "p"}}}},
+		{name: "aggregation", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, 5, 6},
+			spec: ExtractSpec{Agg: AggAvg}},
+		{name: "XRange window", z: []string{"a", "a", "a"}, x: []float64{1, 2, 3}, y: []float64{4, 5, 6},
+			spec: ExtractSpec{XRanges: [][2]float64{{0, 9}}}},
+		{name: "rows out of x order", z: []string{"a", "a", "a"}, x: []float64{2, 1, 3}, y: []float64{4, 5, 6}},
+		{name: "non-contiguous rows", z: []string{"a", "b", "a", "b"}, x: []float64{1, 1, 2, 2}, y: []float64{4, 5, 6, 7}},
+		{name: "non-finite x inside the group", z: []string{"a", "a", "a"}, x: []float64{1, math.Inf(1), 3}, y: []float64{4, 5, 6}},
+		{name: "duplicate x", z: []string{"a", "a", "a"}, x: []float64{1, 1, 2}, y: []float64{4, 5, 6}, err: true},
+	}
+	for _, c := range cases {
+		n := len(c.z)
+		s, num := make([]string, n), make([]float64, n)
+		for i := range s {
+			s[i] = "p"
+		}
+		tbl, err := New(strCol("z", c.z...), floatCol("x", c.x...), floatCol("y", c.y...), strCol("s", s...), floatCol("n", num...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := c.spec
+		spec.Z, spec.X, spec.Y = "z", "x", "y"
+		got, gerr := Extract(tbl, spec)
+		want, werr := legacyExtract(tbl, spec)
+		if (gerr != nil) != c.err || (werr != nil) != c.err {
+			t.Fatalf("%s: error %v, oracle error %v, want an error: %v", c.name, gerr, werr, c.err)
+		}
+		if c.err {
+			if gerr.Error() != werr.Error() {
+				t.Fatalf("%s: error %q, oracle %q", c.name, gerr, werr)
+			}
+			continue
+		}
+		assertSeriesIdentical(t, want, got)
+		for _, sr := range got {
+			x, y := sharesStorage(sr.X, tbl.cols[1].Floats), sharesStorage(sr.Y, tbl.cols[2].Floats)
+			if x != c.alias || y != c.alias {
+				t.Errorf("%s: series %q shares the table's x: %v, y: %v; want %v", c.name, sr.Z, x, y, c.alias)
+			}
+			if c.alias && (cap(sr.X) != len(sr.X) || cap(sr.Y) != len(sr.Y)) {
+				t.Errorf("%s: series %q aliases the table with spare capacity: x %d/%d, y %d/%d",
+					c.name, sr.Z, len(sr.X), cap(sr.X), len(sr.Y), cap(sr.Y))
+			}
+		}
+	}
+
+	// An aliased series keeps its values when Index.Append grows its group
+	// in place, into the x and y columns' spare capacity, and the grown
+	// group extracts as the oracle does.
+	xs, ys := make([]float64, 3, 16), make([]float64, 3, 16)
+	copy(xs, []float64{1, 2, 3})
+	copy(ys, []float64{4, 5, 6})
+	tbl, err := New(strCol("z", "a", "a", "a"), floatCol("x", xs...), floatCol("y", ys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := BuildIndex(tbl)
+	spec := ExtractSpec{Z: "z", X: "x", Y: "y"}
+	before, err := ix.Extract(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := before[0]
+	if !sharesStorage(s.Y, ys) || cap(s.Y) != len(s.Y) || cap(s.X) != len(s.X) {
+		t.Fatalf("series %+v does not alias the table with capped slices", s)
+	}
+	kept := Series{Z: s.Z, X: slices.Clone(s.X), Y: slices.Clone(s.Y)}
+	delta, err := New(strCol("z", "a", "a"), floatCol("x", 4, 0.5), floatCol("y", -1, -2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Append(delta); err != nil {
+		t.Fatal(err)
+	}
+	if &tbl.cols[2].Floats[0] != &ys[0] {
+		t.Fatal("the append moved the y column: it did not grow in place")
+	}
+	assertSeriesIdentical(t, []Series{kept}, []Series{s})
+	after, err := ix.Extract(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := legacyExtract(tbl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSeriesIdentical(t, want, after)
 }

@@ -88,9 +88,9 @@ func (f Filter) matches(c *Column, i int) (bool, error) {
 	if c.Type == String {
 		switch f.Op {
 		case Eq:
-			return c.Strings[i] == f.Str, nil
+			return c.ValueString(i) == f.Str, nil
 		case Ne:
-			return c.Strings[i] != f.Str, nil
+			return c.ValueString(i) != f.Str, nil
 		default:
 			return false, fmt.Errorf("dataset: operator %s not supported on string column %q", f.Op, f.Col)
 		}

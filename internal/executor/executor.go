@@ -184,7 +184,8 @@ type Result struct {
 	BreakXs []float64
 	// Series is the matched trendline's raw data. It aliases the grouped
 	// chart's storage, whose x values the other charts on the same x grid
-	// share: callers must not modify it.
+	// share, and that storage may be the dataset table's own columns (see
+	// dataset.Series): callers must not modify it.
 	Series dataset.Series
 }
 

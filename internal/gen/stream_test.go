@@ -54,7 +54,7 @@ func TestStreamTicksUniqueX(t *testing.T) {
 			zc, _ := tb.Column("z")
 			xc, _ := tb.Column("x")
 			for i := 0; i < tb.NumRows(); i++ {
-				z, x := zc.Strings[i], xc.Floats[i]
+				z, x := zc.ValueString(i), xc.Floats[i]
 				if seen[z] == nil {
 					seen[z] = make(map[float64]bool)
 				}

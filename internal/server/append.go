@@ -249,7 +249,7 @@ func (s *Server) scheduleRebuild(key string, gen uint64, cc cachedCandidates) {
 		nc := cc
 		nc.vizs = vizs
 		nc.index = executor.BuildVizIndex(vizs, 0)
-		nc.zpos = buildZPos(vizs)
+		nc.zpos = nil // positions may have moved; the next patch rebuilds the map
 		s.cache.replace(key, gen, nc)
 	}()
 }

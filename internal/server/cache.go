@@ -85,8 +85,10 @@ type cachedCandidates struct {
 	patchable bool
 	// zpos maps each viz's z value to its position in vizs, so a patch
 	// locates a delta's touched groups in O(|delta|) instead of scanning
-	// the corpus. Only append patchers (serialized on Server.appendMu)
-	// touch it after construction; searches never read it.
+	// the corpus. It is nil until the entry's first append patch builds
+	// it, so an entry that is never patched holds no map. Only append
+	// patchers (serialized on Server.appendMu) touch it; searches never
+	// read it.
 	zpos map[string]int
 }
 

@@ -226,10 +226,11 @@ func New(opts ...Option) *Server {
 
 // Register adds (or replaces) a named dataset under a fresh columnar
 // index, built before the version bump publishes the dataset. The index
-// does no per-row work up front: the first search on a column pays its
-// dictionary-encoding pass, as it pays the (z, x) layout sort, and later
-// searches reuse both. Replacing a dataset bumps its version, invalidating
-// every cached candidate set built from the old data.
+// does no per-row work up front (the table encoded its string columns
+// when it was built): the first search on a (z, x) pair pays its layout
+// sort, and later searches reuse it. Replacing a dataset bumps its
+// version, invalidating every cached candidate set built from the old
+// data.
 //
 // The server takes ownership of t: AppendRows grows its columns in place,
 // so callers must not retain or mutate the table after registering it.
@@ -668,7 +669,7 @@ func (s *Server) fetchCandidates(ctx context.Context, w http.ResponseWriter, r *
 			return cachedCandidates{}, err
 		}
 		vizs := plan.GroupSeriesPooled(&s.vizPool, series)
-		cc := cachedCandidates{vizs: vizs, espec: espec, plan: plan, patchable: plan.PinFree(), zpos: buildZPos(vizs)}
+		cc := cachedCandidates{vizs: vizs, espec: espec, plan: plan, patchable: plan.PinFree()}
 		if len(vizs) >= indexMinVizs {
 			// The index is query-independent (built from the vizs alone), so
 			// every plan sharing this candidate key shares it too.

@@ -210,10 +210,11 @@ func ReadJSON(r io.Reader) (*Table, error) { return dataset.FromJSON(r) }
 func NewTable(cols ...Column) (*Table, error) { return dataset.New(cols...) }
 
 // BuildIndex returns the columnar index for a table. It does no per-row
-// work: column encodings and (z, x) sort permutations are built by the
-// first extraction that needs them and memoized. Index tables that serve
-// repeated queries; a one-shot extraction can pass the bare *Table, which
-// extracts through a transient index.
+// work: float z encodings and (z, x) sort permutations are built by the
+// first extraction that needs them and memoized (a table encodes its
+// string columns when it is built). Index tables that serve repeated
+// queries; a one-shot extraction can pass the bare *Table, which extracts
+// through a transient index.
 func BuildIndex(t *Table) *Index { return dataset.BuildIndex(t) }
 
 // Extract selects candidate trendlines from a table.
